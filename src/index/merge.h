@@ -1,86 +1,28 @@
 // Copyright 2026 The deepsurf Authors.
 //
-// The exact "many shards, one ranking" helpers shared by every layer
-// that partitions a corpus and must still rank as if it were one index:
-// the in-process ShardedIndex and the remote serving coordinator
-// (remote/coordinator.*). Keeping this logic in one place is what keeps
-// the two implementations byte-identical — there is exactly one
-// definition of how corpus-wide BM25 statistics are combined and one
-// definition of the global top-k merge order, so the implementations
-// cannot drift apart.
+// The exact "many shards, one ranking" merge shared by every layer that
+// partitions a corpus and must still rank as if it were one index: the
+// in-process ShardedIndex and the remote serving coordinator
+// (remote/coordinator.*). Keeping it in one place is what keeps the two
+// implementations byte-identical — there is exactly one definition of
+// the global top-k merge order, so they cannot drift apart.
 //
-// Everything here is exact: the combined statistics are integer sums
-// (document counts, token counts, document frequencies) far below 2^53,
-// so summing per-shard contributions reconstructs the single-index
-// values bit-for-bit, and the merge is a total order (score descending,
-// global doc id ascending) with no floating-point arithmetic of its own.
+// The merge is a total order (score descending, global doc id
+// ascending) with no floating-point arithmetic of its own. It is exact
+// as long as every shard scored with the corpus-wide BM25 statistics;
+// each implementation supplies those (ShardedIndex sums its shards per
+// query, the coordinator keeps them at ingest).
 
 #ifndef DEEPSURF_INDEX_MERGE_H_
 #define DEEPSURF_INDEX_MERGE_H_
 
 #include <algorithm>
-#include <cstdint>
-#include <string>
 #include <vector>
 
-#include "index/inverted_index.h"
 #include "index/search_index.h"
 
 namespace deepsurf {
 namespace index {
-
-/// One shard's contribution to the corpus-wide BM25 statistics for one
-/// query. `term_df` is per query-term *position* (parallel to the terms
-/// vector), matching CorpusStats::term_df.
-struct ShardStats {
-  uint64_t num_docs = 0;
-  double total_length = 0.0;      ///< exact integer: content-token count
-  std::vector<uint64_t> term_df;  ///< per query-term position
-};
-
-/// The shard side of the stats exchange: this local index's document
-/// count, token total, and per-position document frequencies for the
-/// query terms. A repeated term (queries like "honda civic honda") pays
-/// one dictionary lookup, not one per position — queries are short, so
-/// the duplicate scan over earlier positions is cheaper than a memo map.
-inline ShardStats LocalShardStats(const InvertedIndex& shard,
-                                  const std::vector<std::string>& terms) {
-  ShardStats s;
-  s.num_docs = shard.num_docs();
-  s.total_length = shard.total_content_length();
-  s.term_df.reserve(terms.size());
-  for (size_t t = 0; t < terms.size(); ++t) {
-    size_t earlier = t;
-    for (size_t p = 0; p < t; ++p) {
-      if (terms[p] == terms[t]) {
-        earlier = p;
-        break;
-      }
-    }
-    s.term_df.push_back(earlier < t ? s.term_df[earlier]
-                                    : shard.DocFrequency(terms[t]));
-  }
-  return s;
-}
-
-/// Sums per-shard statistics into the CorpusStats every shard must score
-/// with. All sums are exact integers, so the result equals what a single
-/// InvertedIndex over the whole corpus would compute, regardless of how
-/// documents were partitioned. Shards with mismatched term_df arity are
-/// a caller bug; the first shard defines the arity.
-inline CorpusStats CombineShardStats(const std::vector<ShardStats>& shards) {
-  CorpusStats stats;
-  size_t terms = shards.empty() ? 0 : shards[0].term_df.size();
-  stats.term_df.assign(terms, 0);
-  for (const auto& s : shards) {
-    stats.num_docs += static_cast<double>(s.num_docs);
-    stats.total_length += s.total_length;
-    for (size_t t = 0; t < terms; ++t) {
-      stats.term_df[t] += s.term_df[t];
-    }
-  }
-  return stats;
-}
 
 /// Appends one shard's local-id hits as global-id merge candidates.
 inline void AppendGlobalHits(const std::vector<SearchHit>& local,

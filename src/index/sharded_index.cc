@@ -152,16 +152,19 @@ std::vector<SearchHit> ShardedIndex::SearchTermsLocked(
     const std::vector<std::string>& terms, size_t k) const {
   if (terms.empty() || global_docs_.empty() || k == 0) return {};
 
-  // Corpus-wide statistics via the shared combine (index/merge.h) — the
-  // same code path the remote coordinator uses, so the two can never
-  // drift. Exact integer sums: they equal what one InvertedIndex over
-  // the whole corpus would compute.
-  std::vector<ShardStats> shard_stats;
-  shard_stats.reserve(shards_.size());
+  // Corpus-wide statistics summed over the shards. Exact integer sums:
+  // they equal what one InvertedIndex over the whole corpus would
+  // compute. (A few hash probes per shard per query; an ingest-time
+  // df map would only make ingest tokenize every document twice.)
+  CorpusStats stats;
+  stats.term_df.assign(terms.size(), 0);
   for (const auto& shard : shards_) {
-    shard_stats.push_back(LocalShardStats(*shard, terms));
+    stats.num_docs += static_cast<double>(shard->num_docs());
+    stats.total_length += shard->total_content_length();
+    for (size_t t = 0; t < terms.size(); ++t) {
+      stats.term_df[t] += shard->DocFrequency(terms[t]);
+    }
   }
-  CorpusStats stats = CombineShardStats(shard_stats);
 
   // Per-shard top-k. A document's shard-local id order equals its global
   // id order (both are insertion order), so each shard's (score desc,

@@ -4,7 +4,9 @@ namespace deepsurf {
 namespace net {
 
 Status SimulatedWeb::Register(std::shared_ptr<WebServer> server) {
-  const std::string& host = server->host();
+  // A copy, not a reference into the server: a failed emplace below
+  // destroys the moved-in server before the error message reads `host`.
+  const std::string host = server->host();
   if (host.empty()) {
     return Status::InvalidArgument("server has empty host");
   }

@@ -3,7 +3,7 @@
 // Per-query distributed tracing and the slow-query log.
 //
 // One served query becomes one trace: a tree of spans covering the
-// result-cache lookup, the coordinator's stats round, every per-replica
+// result-cache lookup, the coordinator's search round, every per-replica
 // search RPC attempt (hedges and cancellations included), the shard
 // server's queue wait and DAAT scoring (measured server-side, carried
 // back in the response frame's optional timing tail), and the top-k

@@ -497,9 +497,9 @@ std::vector<index::SearchHit> Coordinator::SearchTerms(
     std::unique_lock<std::mutex> gate(write_gate_mu_);
     write_gate_cv_.wait(gate, [&] { return writers_pending_ == 0; });
   }
-  // One reader hold across both rounds: every shard answers from the
-  // same corpus snapshot, which is what makes the two-round protocol
-  // exact even while ingest is knocking.
+  // One reader hold across the round: every shard answers from the
+  // corpus snapshot whose statistics the search frame carries, which is
+  // what makes one round exact even while ingest is knocking.
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (terms.empty() || docs_.empty() || k == 0) return {};
   c_searches_->Inc();
@@ -524,62 +524,6 @@ std::vector<index::SearchHit> Coordinator::SearchTerms(
     }
   }
 
-  // Round 1: per-shard corpus statistics.
-  uint64_t stats_span = 0;
-  if (tc != nullptr) {
-    stats_span = tc->StartSpan("coord.stats_round",
-                               obs::TraceContext::kRootSpan);
-  }
-  StatsRequest streq;
-  streq.terms = terms;
-  if (tc != nullptr && tc->sampled()) {
-    // Wire propagation only for sampled traces: a server never spends
-    // timing work on a trace that might be discarded, and committed
-    // trees stay complete. Unsampled frames are byte-identical to
-    // pre-trace ones.
-    streq.trace_id = tc->trace_id();
-    streq.parent_span = stats_span;
-  }
-  const std::string stats_frame = Encode(streq);
-  std::vector<index::ShardStats> shard_stats(num_shards_);
-  std::vector<char> stats_ok(num_shards_, 0);
-  RunPerShard([&](size_t s) {
-    auto frame = CallShard(s, stats_frame, /*pinned_replica=*/-1,
-                           options_.max_attempts, /*hedging_allowed=*/true,
-                           tc, stats_span);
-    if (!frame.ok()) return;
-    auto resp = DecodeStatsResponse(*frame);
-    if (!resp.ok()) return;
-    // Arity check before the exact combine: a shard answering with the
-    // wrong number of dfs is treated as unreachable (partial results),
-    // not allowed to skew or crash the merge.
-    if (resp->term_df.size() != terms.size()) return;
-    shard_stats[s].num_docs = resp->num_docs;
-    shard_stats[s].total_length = resp->total_length;
-    shard_stats[s].term_df = std::move(resp->term_df);
-    stats_ok[s] = 1;
-  });
-
-  if (tc != nullptr) tc->EndSpan(stats_span);
-
-  std::vector<index::ShardStats> live_stats;
-  std::vector<size_t> live_shards;
-  live_stats.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    if (stats_ok[s] == 0) continue;
-    live_stats.push_back(std::move(shard_stats[s]));
-    live_shards.push_back(s);
-  }
-  bool partial = live_shards.size() < num_shards_;
-  if (live_shards.empty()) {
-    c_partial_results_->Inc();
-    return {};
-  }
-  // The shared exact combine (index/merge.h): when every shard
-  // answered, these are bit-for-bit the single-index statistics.
-  index::CorpusStats global = index::CombineShardStats(live_stats);
-
-  // Round 2: every live shard scores its top-k with the global stats.
   uint64_t search_span = 0;
   if (tc != nullptr) {
     search_span = tc->StartSpan("coord.search_round",
@@ -588,55 +532,60 @@ std::vector<index::SearchHit> Coordinator::SearchTerms(
   SearchRequest sreq;
   sreq.terms = terms;
   sreq.k = k;
-  sreq.stats = std::move(global);
+  // Full-corpus statistics, counted at ingest: exact integers, so every
+  // shard scores bit-for-bit as one index over the whole corpus would —
+  // and an unreachable shard's documents stay in them (the
+  // partial-result rule in coordinator.h).
+  sreq.stats.num_docs = static_cast<double>(docs_.size());
+  sreq.stats.total_length = static_cast<double>(total_length_);
+  sreq.stats.term_df.reserve(terms.size());
+  for (const auto& t : terms) {
+    auto it = term_df_.find(t);
+    sreq.stats.term_df.push_back(it == term_df_.end() ? 0 : it->second.df);
+  }
   if (tc != nullptr && tc->sampled()) {
+    // Wire propagation only for sampled traces: a server never spends
+    // timing work on a trace that might be discarded, and committed
+    // trees stay complete. Unsampled frames are byte-identical to
+    // pre-trace ones.
     sreq.trace_id = tc->trace_id();
     sreq.parent_span = search_span;
   }
   const std::string search_frame = Encode(sreq);
   std::vector<std::vector<index::SearchHit>> per_shard(num_shards_);
   std::vector<char> search_ok(num_shards_, 0);
-  {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(live_shards.size());
-    for (size_t s : live_shards) {
-      jobs.push_back([&, s] {
-        uint64_t winner_span = 0;
-        auto frame =
-            CallShard(s, search_frame, /*pinned_replica=*/-1,
-                      options_.max_attempts, /*hedging_allowed=*/true,
-                      tc, search_span, &winner_span);
-        if (!frame.ok()) return;
-        auto resp = DecodeSearchResponse(*frame);
-        if (!resp.ok()) return;
-        if (tc != nullptr && resp->has_timing && winner_span != 0) {
-          // The server measured its own queue wait and DAAT scoring and
-          // carried them back in the response's timing tail; rebuild
-          // them as children of the winning rpc attempt, back-dated so
-          // score ends where the response landed.
-          const double now_ms = obs::ProcessEpochMs();
-          const double queue_ms =
-              static_cast<double>(resp->queue_us) / 1000.0;
-          const double score_ms =
-              static_cast<double>(resp->score_us) / 1000.0;
-          tc->AddCompletedSpan("shard.queue_wait", winner_span,
-                               now_ms - queue_ms - score_ms, queue_ms);
-          uint64_t score_id = tc->AddCompletedSpan(
-              "shard.score", winner_span, now_ms - score_ms, score_ms);
-          tc->Tag(score_id, "blocks_decoded", resp->blocks_decoded);
-          tc->Tag(score_id, "blocks_skipped", resp->blocks_skipped);
-        }
-        per_shard[s] = std::move(resp->hits);
-        search_ok[s] = 1;
-      });
+  RunPerShard([&](size_t s) {
+    uint64_t winner_span = 0;
+    auto frame = CallShard(s, search_frame, /*pinned_replica=*/-1,
+                           options_.max_attempts, /*hedging_allowed=*/true,
+                           tc, search_span, &winner_span);
+    if (!frame.ok()) return;
+    auto resp = DecodeSearchResponse(*frame);
+    if (!resp.ok()) return;
+    if (tc != nullptr && resp->has_timing && winner_span != 0) {
+      // The server measured its own queue wait and DAAT scoring and
+      // carried them back in the response's timing tail; rebuild them
+      // as children of the winning rpc attempt, back-dated so score
+      // ends where the response landed.
+      const double now_ms = obs::ProcessEpochMs();
+      const double queue_ms = static_cast<double>(resp->queue_us) / 1000.0;
+      const double score_ms = static_cast<double>(resp->score_us) / 1000.0;
+      tc->AddCompletedSpan("shard.queue_wait", winner_span,
+                           now_ms - queue_ms - score_ms, queue_ms);
+      uint64_t score_id = tc->AddCompletedSpan(
+          "shard.score", winner_span, now_ms - score_ms, score_ms);
+      tc->Tag(score_id, "blocks_decoded", resp->blocks_decoded);
+      tc->Tag(score_id, "blocks_skipped", resp->blocks_skipped);
     }
-    RunJobs(std::move(jobs));
-  }
+    per_shard[s] = std::move(resp->hits);
+    search_ok[s] = 1;
+  });
   if (tc != nullptr) tc->EndSpan(search_span);
 
   obs::ScopedSpan merge_span(tc, "coord.merge", obs::TraceContext::kRootSpan);
   std::vector<index::SearchHit> merged;
-  for (size_t s : live_shards) {
+  bool partial = false;
+  for (size_t s = 0; s < num_shards_; ++s) {
     if (search_ok[s] == 0) {
       partial = true;
       continue;
@@ -741,13 +690,29 @@ Result<size_t> Coordinator::IngestLocked(
       local_to_global_[s].push_back((*ids)[i]);
     }
   }
-  // The mirror in global-id (original insertion) order, lengths from
-  // the shared tokenizer (exactly what every replica will report back).
+  // The mirror and the corpus statistics in global-id (original
+  // insertion) order, from the shared tokenizer: lengths are exactly
+  // what every replica will report back, and each document adds one to
+  // the df of every distinct content token of its body and title — the
+  // postings a replica's index gives it.
   std::vector<uint32_t> length_of(docs.size(), 0);
   for (size_t i = 0; i < docs.size(); ++i) {
     if (is_new[i] == 0) continue;
-    length_of[i] =
-        static_cast<uint32_t>(index::ContentTokens(docs[i].body).size());
+    const uint32_t stamp = (*ids)[i] + 1;
+    auto count_df = [&](const std::vector<std::string>& tokens) {
+      for (const auto& t : tokens) {
+        TermDf& entry = term_df_[t];
+        if (entry.stamp == stamp) continue;
+        entry.stamp = stamp;
+        ++entry.df;
+      }
+    };
+    const std::vector<std::string> body_tokens =
+        index::ContentTokens(docs[i].body);
+    count_df(body_tokens);
+    count_df(index::ContentTokens(docs[i].title));
+    length_of[i] = static_cast<uint32_t>(body_tokens.size());
+    total_length_ += length_of[i];
     index::DocInfo info;
     info.url = docs[i].url;
     info.title = docs[i].title;
@@ -1176,6 +1141,13 @@ index::IndexMemoryUsage Coordinator::MemoryUsage() const {
   RunJobs(std::move(jobs));
   index::IndexMemoryUsage total;
   for (const auto& m : per_shard) total.Add(m);
+  // The coordinator's term -> df map, costed like InvertedIndex's
+  // dictionary (one stored copy of each term here).
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  for (const auto& [term, df] : term_df_) {
+    total.dictionary_bytes +=
+        term.size() + sizeof(std::string) + sizeof(TermDf) + 32;
+  }
   return total;
 }
 

@@ -11,12 +11,14 @@
 // InvertedIndex, at every shard and replica count, faults or no faults.
 //
 // How the exactness survives distribution:
-//   * A query is two fan-out rounds under one reader lock: a stats
-//     round (every shard reports doc count, token total, per-term df;
-//     combined by the shared index/merge.h code into corpus-wide BM25
-//     statistics), then a search round (every shard scores its top-k
-//     with those *global* statistics). Both rounds see one consistent
-//     corpus snapshot because ingest takes the writer side of the lock.
+//   * A query is one fan-out round under one reader lock. The
+//     coordinator keeps the corpus-wide BM25 statistics itself —
+//     document count, content-token total, per-term document frequency
+//     — counting each document as ingest commits it, with the same
+//     tokenizer the shards run. Every search frame carries them, so
+//     every shard scores its top-k with *global* statistics. The round
+//     sees one consistent corpus snapshot because ingest takes the
+//     writer side of the lock.
 //   * Global doc ids are assigned by the coordinator in insertion
 //     order — exactly the ids a single index would assign — and
 //     per-shard hits are merged by the shared MergeTopK total order.
@@ -40,7 +42,11 @@
 //   * Partial results: a query never fails outright. If every replica
 //     of a shard is unreachable after the attempt budget, the query is
 //     answered from the shards that did respond and
-//     stats().partial_results counts the degradation.
+//     stats().partial_results counts the degradation. A degraded answer
+//     still scores with full-corpus statistics (an unreachable shard's
+//     documents stay in the counts), so it equals the healthy ranking
+//     restricted to the reachable shards' documents, first k: every
+//     surviving hit keeps its healthy score bits and relative order.
 //
 // Ingest is durable and exactly-once: the coordinator stages every
 // batch in a per-shard write-ahead log (remote/ingest_log.h) and
@@ -262,7 +268,8 @@ class Coordinator : public index::WritableIndex {
 
   /// Memory accounting of the cluster's logical corpus: one health
   /// probe per shard (any serving replica — replicas hold bit-identical
-  /// indexes, so which one answers is unobservable), summed. A shard
+  /// indexes, so which one answers is unobservable), summed, plus the
+  /// coordinator's own term -> df map in dictionary_bytes. A shard
   /// whose probe fails contributes zero; best-effort, like ProbeHealth.
   index::IndexMemoryUsage MemoryUsage() const override;
 
@@ -337,10 +344,11 @@ class Coordinator : public index::WritableIndex {
   const size_t num_shards_;
   const size_t num_replicas_;
 
-  /// Guards the global-id state and the doc mirror. Readers are queries
-  /// (held across both fan-out rounds: one corpus snapshot per query);
-  /// the writer is ingest. Queries hold the reader side for whole RPC
-  /// rounds — milliseconds — so with a reader-preferring shared_mutex a
+  /// Guards the global-id state, the doc mirror, and the corpus
+  /// statistics. Readers are queries (held across the fan-out round:
+  /// one corpus snapshot per query); the writer is ingest. Queries hold
+  /// the reader side for whole RPC rounds — milliseconds — so with a
+  /// reader-preferring shared_mutex a
   /// steady query stream would starve ingest forever. The write gate
   /// below restores writer preference: writers announce themselves, and
   /// new queries wait at the gate until no writer is pending.
@@ -353,6 +361,18 @@ class Coordinator : public index::WritableIndex {
   std::vector<uint64_t> shard_doc_count_;  ///< local ids handed out
   std::vector<uint64_t> shard_seq_;        ///< ingest batch sequence
   std::unordered_map<uint64_t, index::DocId> by_hash_;  ///< global dedup
+  /// Corpus-wide BM25 statistics, counted as ingest commits documents;
+  /// every search frame carries them (the document count is
+  /// docs_.size()). A term's df is the number of committed documents
+  /// whose body or title holds it — InvertedIndex::DocFrequency's
+  /// posting count. `stamp` is 1 + the global id last counted, so a
+  /// term repeated within one document counts once.
+  struct TermDf {
+    uint32_t df = 0;
+    uint32_t stamp = 0;
+  };
+  std::unordered_map<std::string, TermDf> term_df_;
+  uint64_t total_length_ = 0;  ///< content tokens across the corpus
   /// Per-shard write-ahead log of staged batches: the coordinator's own
   /// replay source when no current peer can serve a Fetch.
   std::vector<IngestLog> wal_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "index/merge.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -23,7 +22,6 @@ ShardServer::ShardServer(ShardServerOptions options)
   c_rejected_ = metrics_->counter(p + "rejected");
   c_cancelled_ = metrics_->counter(p + "cancelled");
   c_searches_ = metrics_->counter(p + "searches");
-  c_stats_calls_ = metrics_->counter(p + "stats_calls");
   c_ingest_batches_ = metrics_->counter(p + "ingest_batches");
   c_ingest_replays_ = metrics_->counter(p + "ingest_replays");
   c_fetches_ = metrics_->counter(p + "fetches");
@@ -115,8 +113,6 @@ Result<std::string> ShardServer::Handle(const std::string& request,
   switch (*type) {
     case MessageType::kSearchRequest:
       return HandleSearch(request, queue_us);
-    case MessageType::kStatsRequest:
-      return HandleStats(request);
     case MessageType::kIngestRequest:
       return HandleIngest(request);
     case MessageType::kHealthRequest:
@@ -170,22 +166,6 @@ Result<std::string> ShardServer::HandleSearch(const std::string& request,
       resp.blocks_decoded = after.blocks_decoded - before.blocks_decoded;
       resp.blocks_skipped = after.blocks_skipped - before.blocks_skipped;
     }
-  }
-  return Encode(resp);
-}
-
-Result<std::string> ShardServer::HandleStats(const std::string& request) {
-  auto req = DecodeStatsRequest(request);
-  if (!req.ok()) return req.status();
-  c_stats_calls_->Inc();
-  StatsResponse resp;
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    // The same shard-side computation ShardedIndex runs in-process.
-    index::ShardStats local = index::LocalShardStats(index_, req->terms);
-    resp.num_docs = local.num_docs;
-    resp.total_length = local.total_length;
-    resp.term_df = std::move(local.term_df);
   }
   return Encode(resp);
 }
@@ -296,7 +276,6 @@ ShardServerStats ShardServer::stats() const {
   snapshot.rejected = c_rejected_->Value();
   snapshot.cancelled = c_cancelled_->Value();
   snapshot.searches = c_searches_->Value();
-  snapshot.stats_calls = c_stats_calls_->Value();
   snapshot.ingest_batches = c_ingest_batches_->Value();
   snapshot.ingest_replays = c_ingest_replays_->Value();
   snapshot.fetches = c_fetches_->Value();

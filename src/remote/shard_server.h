@@ -10,9 +10,11 @@
 // transport, not the server.
 //
 // Contracts:
-//   * Search and stats requests are answered under a shared lock, ingest
-//     under an exclusive one, so queries stay serveable while batches
-//     land (the same read-during-ingest promise ShardedIndex makes).
+//   * Search requests are answered under a shared lock, ingest under an
+//     exclusive one, so queries stay serveable while batches land (the
+//     same read-during-ingest promise ShardedIndex makes). A search
+//     frame carries the corpus-wide BM25 statistics it scores with, so
+//     one round trip answers a query.
 //   * Ingest is idempotent by sequence number: batches apply exactly
 //     once in order, and a re-sent seq (a retry whose response was lost)
 //     replays the stored response without touching the index. Replicas
@@ -86,7 +88,6 @@ struct ShardServerStats {
   uint64_t rejected = 0;        ///< bounced on a full queue
   uint64_t cancelled = 0;       ///< hedged losers skipped before execution
   uint64_t searches = 0;
-  uint64_t stats_calls = 0;
   uint64_t ingest_batches = 0;  ///< batches applied (replays not counted)
   uint64_t ingest_replays = 0;  ///< idempotent re-sends answered from cache
   uint64_t fetches = 0;         ///< catch-up log reads served to peers
@@ -155,14 +156,13 @@ class ShardServer {
   Result<std::string> Handle(const std::string& request, uint64_t queue_us);
   Result<std::string> HandleSearch(const std::string& request,
                                    uint64_t queue_us);
-  Result<std::string> HandleStats(const std::string& request);
   Result<std::string> HandleIngest(const std::string& request);
   Result<std::string> HandleHealth(const std::string& request);
   Result<std::string> HandleFetch(const std::string& request);
 
   const ShardServerOptions options_;
 
-  /// Search/stats take shared, ingest takes exclusive — queries stay
+  /// Search takes shared, ingest takes exclusive — queries stay
   /// serveable during ingest. Also guards the ingest seq state below.
   mutable std::shared_mutex index_mu_;
   index::InvertedIndex index_;
@@ -188,7 +188,6 @@ class ShardServer {
   obs::Counter* c_rejected_;
   obs::Counter* c_cancelled_;
   obs::Counter* c_searches_;
-  obs::Counter* c_stats_calls_;
   obs::Counter* c_ingest_batches_;
   obs::Counter* c_ingest_replays_;
   obs::Counter* c_fetches_;

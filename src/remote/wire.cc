@@ -136,8 +136,6 @@ Result<MessageType> PeekType(const std::string& frame) {
   switch (type) {
     case MessageType::kSearchRequest:
     case MessageType::kSearchResponse:
-    case MessageType::kStatsRequest:
-    case MessageType::kStatsResponse:
     case MessageType::kIngestRequest:
     case MessageType::kIngestResponse:
     case MessageType::kHealthRequest:
@@ -145,6 +143,9 @@ Result<MessageType> PeekType(const std::string& frame) {
     case MessageType::kFetchRequest:
     case MessageType::kFetchResponse:
       return type;
+    case MessageType::kStatsRequest:
+    case MessageType::kStatsResponse:
+      return Malformed("retired message type");
   }
   return Malformed("unknown message type");
 }
@@ -239,59 +240,6 @@ Result<SearchResponse> DecodeSearchResponse(const std::string& frame) {
     msg.blocks_skipped = r.GetU64();
   }
   if (!r.Done()) return Malformed("truncated SearchResponse");
-  return msg;
-}
-
-std::string Encode(const StatsRequest& msg) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MessageType::kStatsRequest));
-  PutTerms(&out, msg.terms);
-  if (msg.trace_id != 0) {
-    PutU64(&out, msg.trace_id);
-    PutU64(&out, msg.parent_span);
-    PutU8(&out, msg.trace_flags);
-  }
-  return out;
-}
-
-Result<StatsRequest> DecodeStatsRequest(const std::string& frame) {
-  Reader r(frame);
-  if (!CheckType(&r, MessageType::kStatsRequest)) {
-    return Malformed("not a StatsRequest");
-  }
-  StatsRequest msg;
-  msg.terms = GetTerms(&r);
-  if (r.ok && r.pos < r.buf.size()) {
-    msg.trace_id = r.GetU64();
-    msg.parent_span = r.GetU64();
-    msg.trace_flags = r.GetU8();
-  }
-  if (!r.Done()) return Malformed("truncated StatsRequest");
-  return msg;
-}
-
-std::string Encode(const StatsResponse& msg) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MessageType::kStatsResponse));
-  PutU64(&out, msg.num_docs);
-  PutDouble(&out, msg.total_length);
-  PutU32(&out, static_cast<uint32_t>(msg.term_df.size()));
-  for (uint64_t df : msg.term_df) PutU64(&out, df);
-  return out;
-}
-
-Result<StatsResponse> DecodeStatsResponse(const std::string& frame) {
-  Reader r(frame);
-  if (!CheckType(&r, MessageType::kStatsResponse)) {
-    return Malformed("not a StatsResponse");
-  }
-  StatsResponse msg;
-  msg.num_docs = r.GetU64();
-  msg.total_length = r.GetDouble();
-  uint32_t n = r.GetCount(8);
-  msg.term_df.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok; ++i) msg.term_df.push_back(r.GetU64());
-  if (!r.Done()) return Malformed("truncated StatsResponse");
   return msg;
 }
 

@@ -2,10 +2,11 @@
 //
 // Deterministic binary wire format for the shard-serving RPC boundary.
 // Every message a coordinator and a shard server exchange — search
-// requests, scored-hit responses, the corpus-statistics exchange that
-// keeps sharded BM25 exact, replicated ingest batches, and health
-// probes — is encoded as one self-describing frame: a MessageType byte
-// followed by fixed-layout little-endian fields.
+// requests (carrying the corpus-wide BM25 statistics that keep sharded
+// scoring exact), scored-hit responses, replicated ingest batches,
+// catch-up fetches, and health probes — is encoded as one
+// self-describing frame: a MessageType byte followed by fixed-layout
+// little-endian fields.
 //
 // The format is designed for the repo's signature contract (distribution
 // must not change a single result bit):
@@ -41,6 +42,9 @@ namespace remote {
 enum class MessageType : uint8_t {
   kSearchRequest = 1,
   kSearchResponse = 2,
+  /// Retired with the per-query stats round (the coordinator now keeps
+  /// corpus statistics at ingest). PeekType rejects them, and the
+  /// numbers stay reserved so no later frame reuses them.
   kStatsRequest = 3,
   kStatsResponse = 4,
   kIngestRequest = 5,
@@ -84,22 +88,6 @@ struct SearchResponse {
   uint64_t score_us = 0;        ///< time inside DAAT scoring
   uint64_t blocks_decoded = 0;  ///< index counter delta across the call
   uint64_t blocks_skipped = 0;
-};
-
-/// Asks a shard for its contribution to the corpus-wide statistics of
-/// one query (document count, token total, per-position term df).
-/// Carries the same optional trace tail as SearchRequest.
-struct StatsRequest {
-  std::vector<std::string> terms;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
-  uint8_t trace_flags = 0;
-};
-
-struct StatsResponse {
-  uint64_t num_docs = 0;
-  double total_length = 0.0;
-  std::vector<uint64_t> term_df;  ///< per query-term position
 };
 
 /// One replicated ingest batch. `seq` is the per-shard batch sequence
@@ -175,13 +163,11 @@ struct HealthResponse {
 };
 
 /// Message type of a frame (its first byte); InvalidArgument for an
-/// empty frame or an unknown type.
+/// empty frame or an unknown or retired type.
 Result<MessageType> PeekType(const std::string& frame);
 
 std::string Encode(const SearchRequest& msg);
 std::string Encode(const SearchResponse& msg);
-std::string Encode(const StatsRequest& msg);
-std::string Encode(const StatsResponse& msg);
 std::string Encode(const IngestRequest& msg);
 std::string Encode(const IngestResponse& msg);
 std::string Encode(const HealthRequest& msg);
@@ -191,8 +177,6 @@ std::string Encode(const FetchResponse& msg);
 
 Result<SearchRequest> DecodeSearchRequest(const std::string& frame);
 Result<SearchResponse> DecodeSearchResponse(const std::string& frame);
-Result<StatsRequest> DecodeStatsRequest(const std::string& frame);
-Result<StatsResponse> DecodeStatsResponse(const std::string& frame);
 Result<IngestRequest> DecodeIngestRequest(const std::string& frame);
 Result<IngestResponse> DecodeIngestResponse(const std::string& frame);
 Result<HealthRequest> DecodeHealthRequest(const std::string& frame);

@@ -17,8 +17,10 @@
 #include "html/parser.h"
 #include "html/text.h"
 #include "net/flaky_server.h"
+#include "querylog/query_stream.h"
 #include "remote/coordinator.h"
 #include "remote/transport.h"
+#include "synthweb/corpus.h"
 #include "synthweb/deep_site.h"
 #include "synthweb/surface_site.h"
 #include "test_support.h"
@@ -241,6 +243,62 @@ TEST(CoordinatorFailureTest, DeadReplicaGroupYieldsPartialResultsNotCrash) {
   // The shard comes back (a restart that kept its disk): queries heal.
   flaky.Revive(dead_shard, 0);
   ASSERT_EQ(coordinator.Search("alpha", 10).size(), 2u);
+}
+
+// The partial-result rule (coordinator.h): a degraded answer scores with
+// full-corpus statistics, so it is the healthy ranking restricted to the
+// reachable shards' documents, first k — same ids, same score bits.
+TEST(CoordinatorFailureTest, PartialResultsAreTheHealthyRankingFiltered) {
+  synthweb::CorpusOptions corpus_opts;
+  corpus_opts.num_deep_sites = 4;
+  corpus_opts.num_surface_sites = 2;
+  corpus_opts.min_rows = 15;
+  corpus_opts.max_rows = 40;
+  corpus_opts.seed = 31;
+  const auto corpus = synthweb::BuildCorpus(corpus_opts);
+  const auto docs = synthweb::EntityDocuments(corpus);
+  index::IndexOptions exhaustive;
+  exhaustive.enable_pruning = false;
+  index::InvertedIndex single(exhaustive);
+  ASSERT_TRUE(single.InsertBatch(docs).ok());
+
+  remote::LoopbackTransport loopback(3, 2, {});
+  remote::FlakyTransport flaky(&loopback, {});
+  remote::CoordinatorOptions copts;
+  copts.call_timeout_ms = 10.0;
+  copts.max_attempts = 2;
+  remote::Coordinator coordinator(&flaky, copts);
+  ASSERT_TRUE(coordinator.InsertBatch(docs).ok());
+
+  // The whole replica group of one shard dies after ingest.
+  const size_t dead_shard = 1;
+  flaky.Kill(dead_shard, 0);
+  flaky.Kill(dead_shard, 1);
+
+  querylog::QueryStreamOptions qopts;
+  qopts.seed = 2026;
+  querylog::QueryStream stream(&corpus, qopts);
+  size_t queries_losing_hits = 0;
+  for (int q = 0; q < 60; ++q) {
+    const std::string query = stream.Next().text;
+    std::vector<index::SearchHit> expected;
+    bool lost = false;
+    for (const auto& hit : single.Search(query, single.num_docs())) {
+      if (coordinator.ShardForUrl(single.doc_ref(hit.doc).url) ==
+          dead_shard) {
+        lost = true;
+        continue;
+      }
+      if (expected.size() < 10) expected.push_back(hit);
+    }
+    if (lost) ++queries_losing_hits;
+    testing_support::ExpectSameHits(
+        expected, coordinator.Search(query, 10),
+        "query \"" + query + "\" with shard 1 dead");
+  }
+  EXPECT_GT(queries_losing_hits, 0u)
+      << "the dead group must hold documents matching the queries";
+  EXPECT_GT(coordinator.stats().partial_results, 0u);
 }
 
 TEST(CoordinatorFailureTest, IngestWithAllReplicasDeadCommitsThenHeals) {

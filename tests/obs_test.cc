@@ -380,26 +380,6 @@ TEST(WireTraceTest, UntracedFramesAreByteIdenticalToLegacy) {
   EXPECT_EQ(rt->k, 10u);
 }
 
-TEST(WireTraceTest, StatsRequestTraceTailRoundTrips) {
-  remote::StatsRequest req;
-  req.terms = {"gamma"};
-  const std::string untraced = Encode(req);
-  remote::StatsRequest traced = req;
-  traced.trace_id = 77;
-  traced.parent_span = 2;
-  const std::string with_tail = Encode(traced);
-  ASSERT_GT(with_tail.size(), untraced.size());
-  EXPECT_EQ(with_tail.compare(0, untraced.size(), untraced), 0);
-  auto old_frame = remote::DecodeStatsRequest(untraced);
-  ASSERT_TRUE(old_frame.ok());
-  EXPECT_EQ(old_frame->trace_id, 0u);
-  auto rt = remote::DecodeStatsRequest(with_tail);
-  ASSERT_TRUE(rt.ok());
-  EXPECT_EQ(rt->trace_id, 77u);
-  EXPECT_EQ(rt->parent_span, 2u);
-  EXPECT_EQ(rt->terms, req.terms);
-}
-
 TEST(WireTraceTest, SearchResponseTimingTailRoundTrips) {
   remote::SearchResponse resp;
   resp.hits.push_back(index::SearchHit{3, 1.25});
@@ -525,21 +505,19 @@ TEST(ObsIntegrationTest, HedgedRemoteQueryProducesCompleteSpanTree) {
   ASSERT_NE(hedged, nullptr)
       << "40 queries against a slow replica must hedge at least once";
 
-  // Layer structure: engine root -> index search -> coordinator rounds.
+  // Layer structure: engine root -> index search -> the coordinator's
+  // search round -> merge.
   const Span* root = FindSpan(*hedged, "query");
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->span_id, TraceContext::kRootSpan);
   ASSERT_NE(FindSpan(*hedged, "serve.index_search"), nullptr);
-  const Span* stats_round = FindSpan(*hedged, "coord.stats_round");
   const Span* search_round = FindSpan(*hedged, "coord.search_round");
-  ASSERT_NE(stats_round, nullptr);
   ASSERT_NE(search_round, nullptr);
   ASSERT_NE(FindSpan(*hedged, "coord.merge"), nullptr);
 
-  // Coordinator -> replica: the winning hedge rpc hangs under a round.
+  // Coordinator -> replica: the winning hedge rpc hangs under the round.
   ASSERT_NE(winner, nullptr);
-  EXPECT_TRUE(winner->parent_id == stats_round->span_id ||
-              winner->parent_id == search_round->span_id);
+  EXPECT_EQ(winner->parent_id, search_round->span_id);
   EXPECT_NE(TagValue(*winner, "replica"), "");
 
   // Replica -> shard server: the search round's winning rpc carries the
