@@ -1,9 +1,9 @@
 // Copyright 2026 The deepsurf Authors.
 //
 // Fixed-width bit-packed codec for posting-list doc-id blocks — the
-// fast sibling of the delta+varint codec (index/block_codec.h). A
-// sealed block of ascending doc ids is stored as its delta gaps, every
-// gap packed at the SAME bit width w = bits(max gap of the block):
+// one sealed-block format of compressed posting lists. A sealed block
+// of ascending doc ids is stored as its delta gaps, every gap packed at
+// the SAME bit width w = bits(max gap of the block):
 //
 //   byte 0   : w (0..32)
 //   byte 1.. : ceil(n*w / 8) bytes of gaps, horizontal layout — gap i
@@ -21,9 +21,8 @@
 //
 // The decoder never trusts its input: a missing or out-of-range width
 // byte, or a buffer shorter than the packed payload the width implies,
-// yields 0 — never a read past `end`. Varint blocks (block_codec.h)
-// remain the wire/compat format; this codec is the in-memory layout
-// IndexOptions::bitpack_postings selects.
+// yields 0 — never a read past `end`. This is an in-memory layout only
+// (IndexOptions::compress_postings); no wire or log format carries it.
 
 #ifndef DEEPSURF_INDEX_BITPACK_CODEC_H_
 #define DEEPSURF_INDEX_BITPACK_CODEC_H_

@@ -7,7 +7,6 @@
 
 #include "index/analyzer.h"
 #include "index/bitpack_codec.h"
-#include "index/block_codec.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -77,33 +76,41 @@ inline uint8_t QuantizeWeight(float w, float block_max) {
   return static_cast<uint8_t>(q);
 }
 
+/// Deep-k fallback factor of the exhaustive-vs-maxscore routing (see
+/// IndexOptions::pruning_min_postings).
+constexpr size_t kPruningKFallback = 24;
+
+/// Decodes sealed block `b` of a compressed list into `out` (room for
+/// `block_size` ids); its gaps chain from the previous block's last doc
+/// id. The only place sealed bytes become doc ids. (Templated on the
+/// list type so these file-local helpers can take the private
+/// PostingList by deduction.)
+template <typename PL>
+void DecodeSealedBlock(const PL& pl, size_t b, size_t block_size,
+                       DocId* out) {
+  const uint8_t* data = pl.packed.data();
+  const uint8_t* end = b + 1 < pl.blocks.size()
+                           ? data + pl.blocks[b + 1].offset
+                           : data + pl.packed.size();
+  const DocId base = b == 0 ? 0 : pl.blocks[b - 1].last_doc;
+  DS_CHECK(DecodeBitpackBlock(data + pl.blocks[b].offset, end, block_size,
+                              base, out) != 0)
+      << "corrupt sealed posting block";
+}
+
 /// Streams every posting of a list, in order, into fn(posting_index,
-/// doc_id). Sealed blocks decode one at a time through whichever codec
-/// sealed them (bit-packed or varint); each block's gaps chain from the
-/// previous block's last doc id. The caller resolves weights from the
-/// posting index — it knows whether position j's exact float lives in
-/// the weight array or (quantized mode) in the forward index.
-/// (Templated on the list type so this file-local helper can take the
-/// private PostingList by deduction.)
+/// doc_id), decoding sealed blocks one at a time (only compressed lists
+/// have `packed` bytes). The caller resolves weights from the posting
+/// index — it knows whether position j's exact float lives in the
+/// weight array or (quantized mode) in the forward index.
 template <typename PL, typename Fn>
-void ForEachPosting(const PL& pl, size_t block_size, bool compressed,
-                    bool bitpacked, Fn&& fn) {
-  if (compressed && !pl.blocks.empty()) {
+void ForEachPosting(const PL& pl, size_t block_size, Fn&& fn) {
+  if (!pl.packed.empty()) {
     std::vector<DocId> buf(block_size);
-    const uint8_t* data = pl.packed.data();
     const size_t nblocks = pl.blocks.size();
-    DocId base = 0;
     for (size_t b = 0; b < nblocks; ++b) {
-      const uint8_t* p = data + pl.blocks[b].offset;
-      const uint8_t* end = b + 1 < nblocks ? data + pl.blocks[b + 1].offset
-                                           : data + pl.packed.size();
-      const bool ok =
-          bitpacked
-              ? DecodeBitpackBlock(p, end, block_size, base, buf.data()) != 0
-              : DecodeDocBlock(p, end, block_size, base, buf.data());
-      DS_CHECK(ok) << "corrupt sealed posting block";
+      DecodeSealedBlock(pl, b, block_size, buf.data());
       for (size_t j = 0; j < block_size; ++j) fn(b * block_size + j, buf[j]);
-      base = pl.blocks[b].last_doc;
     }
     const size_t sealed = nblocks * block_size;
     for (size_t j = 0; j < pl.docs.size(); ++j) fn(sealed + j, pl.docs[j]);
@@ -118,21 +125,18 @@ void ForEachPosting(const PL& pl, size_t block_size, bool compressed,
 // PostingCursor.
 
 void InvertedIndex::PostingCursor::Init(const InvertedIndex* idx,
-                                        const PostingList* list,
-                                        const IndexOptions& opts) {
+                                        const PostingList* list) {
   pl = list;
-  owner = (idx != nullptr && opts.decode_cache_bytes > 0) ? idx : nullptr;
-  block_size = static_cast<uint32_t>(opts.posting_block_size);
-  compressed = opts.compress_postings;
-  bitpacked = opts.bitpack_postings;
-  quantized = opts.quantize_weights;
+  owner = idx;
+  block_size = static_cast<uint32_t>(idx->options_.posting_block_size);
+  compressed = idx->options_.compress_postings;
+  quantized = idx->options_.quantize_weights;
   sealed = static_cast<uint32_t>(pl->blocks.size()) * block_size;
   pos = 0;
   decoded = 0;
   skipped = 0;
   cache_hits = 0;
   stale = false;
-  if (compressed && !pl->blocks.empty()) scratch.resize(block_size);
   LoadSegment(0);
 }
 
@@ -142,25 +146,10 @@ void InvertedIndex::PostingCursor::LoadSegment(uint32_t segment) {
   if (segment < nblocks) {
     win_begin = segment * block_size;
     win_end = win_begin + block_size;
-    if (compressed && owner != nullptr) {
+    if (compressed) {
       bool hit = false;
       window = owner->SealedBlockIds(*pl, segment, &scratch, &hit);
       hit ? ++cache_hits : ++decoded;
-    } else if (compressed) {
-      ++decoded;
-      const DocId base = segment == 0 ? 0 : pl->blocks[segment - 1].last_doc;
-      const uint8_t* data = pl->packed.data();
-      const uint8_t* p = data + pl->blocks[segment].offset;
-      const uint8_t* end = segment + 1 < nblocks
-                               ? data + pl->blocks[segment + 1].offset
-                               : data + pl->packed.size();
-      const bool ok =
-          bitpacked
-              ? DecodeBitpackBlock(p, end, block_size, base,
-                                   scratch.data()) != 0
-              : DecodeDocBlock(p, end, block_size, base, scratch.data());
-      DS_CHECK(ok) << "corrupt sealed posting block";
-      window = scratch.data();
     } else {
       ++decoded;
       window = pl->docs.data() + win_begin;
@@ -300,16 +289,7 @@ const DocId* InvertedIndex::SealedBlockIds(const PostingList& pl, uint32_t b,
     scratch->resize(block);
     buf = scratch->data();
   }
-  const uint8_t* data = pl.packed.data();
-  const uint8_t* p = data + pl.blocks[b].offset;
-  const uint8_t* end = b + 1 < pl.blocks.size()
-                           ? data + pl.blocks[b + 1].offset
-                           : data + pl.packed.size();
-  const DocId base = b == 0 ? 0 : pl.blocks[b - 1].last_doc;
-  const bool ok = options_.bitpack_postings
-                      ? DecodeBitpackBlock(p, end, block, base, buf) != 0
-                      : DecodeDocBlock(p, end, block, base, buf);
-  DS_CHECK(ok) << "corrupt sealed posting block";
+  DecodeSealedBlock(pl, b, block, buf);
   if (!pin) return buf;
   const DocId* expected = nullptr;
   if (!pl.pinned[b].compare_exchange_strong(expected, buf,
@@ -406,11 +386,7 @@ void InvertedIndex::AppendPostingLocked(PostingList* pl, DocId id, float w) {
   if (options_.compress_postings) {
     meta.offset = pl->packed.size();
     const DocId base = pl->blocks.empty() ? 0 : pl->blocks.back().last_doc;
-    if (options_.bitpack_postings) {
-      EncodeBitpackBlock(pl->docs.data(), block, base, &pl->packed);
-    } else {
-      EncodeDocBlock(pl->docs.data(), block, base, &pl->packed);
-    }
+    EncodeBitpackBlock(pl->docs.data(), block, base, &pl->packed);
     pl->docs.clear();
   }
   if (options_.quantize_weights) {
@@ -603,10 +579,9 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
   // already cheap. On top of those, the adaptive deep-k fallback: the
   // top-k threshold only rises high enough to prune when k is a small
   // fraction of the candidate pool, so for deep k on small pools the
-  // exhaustive scan wins (see IndexOptions::pruning_k_fallback). The
-  // exhaustive scorer doubles as the explicit fallback — results are
-  // byte-identical either way, so this whole decision is unobservable
-  // in the output.
+  // exhaustive scan wins (see kPruningKFallback). The exhaustive scorer
+  // doubles as the explicit fallback — results are byte-identical either
+  // way, so this whole decision is unobservable in the output.
   bool prune =
       options_.enable_pruning && k < docs_.size() && k < total_postings;
   if (prune && options_.pruning_min_postings > 0) {
@@ -614,7 +589,7 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
       prune = false;
     } else {
       const size_t pool = std::min(total_postings, docs_.size());
-      if (k * query.size() * options_.pruning_k_fallback >= pool) {
+      if (k * query.size() * kPruningKFallback >= pool) {
         prune = false;
       }
     }
@@ -629,8 +604,6 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     const std::vector<QueryTerm>& query, const NormView& norms,
     size_t total_postings, size_t k) const {
   const double k1 = options_.bm25_k1;
-  const bool compressed = options_.compress_postings;
-  const bool bitpacked = options_.bitpack_postings;
   const bool quantized = options_.quantize_weights;
   const size_t block = options_.posting_block_size;
   std::vector<SearchHit> hits;
@@ -658,11 +631,10 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     std::unordered_map<DocId, double> acc;
     acc.reserve(total_postings);
     for (const QueryTerm& qt : query) {
-      ForEachPosting(*qt.postings, block, compressed, bitpacked,
-                     [&](size_t j, DocId d) {
-                       acc[d] += Contribution(qt.idf, exact_weight(qt, j, d),
-                                              norms.Of(d), k1);
-                     });
+      ForEachPosting(*qt.postings, block, [&](size_t j, DocId d) {
+        acc[d] += Contribution(qt.idf, exact_weight(qt, j, d), norms.Of(d),
+                               k1);
+      });
     }
     hits.reserve(acc.size());
     for (const auto& [d, score] : acc) hits.push_back(SearchHit{d, score});
@@ -671,12 +643,11 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     std::vector<DocId> touched;
     touched.reserve(total_postings);
     for (const QueryTerm& qt : query) {
-      ForEachPosting(*qt.postings, block, compressed, bitpacked,
-                     [&](size_t j, DocId d) {
-                       if (acc[d] == 0.0) touched.push_back(d);
-                       acc[d] += Contribution(qt.idf, exact_weight(qt, j, d),
-                                              norms.Of(d), k1);
-                     });
+      ForEachPosting(*qt.postings, block, [&](size_t j, DocId d) {
+        if (acc[d] == 0.0) touched.push_back(d);
+        acc[d] += Contribution(qt.idf, exact_weight(qt, j, d), norms.Of(d),
+                               k1);
+      });
     }
     hits.reserve(touched.size());
     for (DocId d : touched) hits.push_back(SearchHit{d, acc[d]});
@@ -702,7 +673,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   const size_t m = query.size();
   const uint32_t block = static_cast<uint32_t>(options_.posting_block_size);
   const bool quantized = options_.quantize_weights;
-  for (QueryTerm& qt : query) qt.cursor.Init(this, qt.postings, options_);
+  for (QueryTerm& qt : query) qt.cursor.Init(this, qt.postings);
 
   // Process lists in ascending upper-bound order; the low-cap prefix
   // becomes "non-essential" once the top-k threshold proves that prefix
@@ -772,95 +743,76 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   uint64_t warm_decoded = 0;
   uint64_t warm_cache_hits = 0;
   std::vector<DocId> warm_docs;
-  if (options_.enable_impact_warmup) {
-    constexpr size_t kWarmBlocksMax = 4;
-    struct WarmBlock {
-      double pri;
-      size_t t;
-      uint32_t b;
-    };
-    std::vector<WarmBlock> cand;
-    for (size_t t = 0; t < m; ++t) {
-      const PostingList& pl = *query[t].postings;
-      const size_t take = std::min(pl.impact_order.size(), kWarmBlocksMax);
-      for (size_t i = 0; i < take; ++i) {
-        const uint32_t b = pl.impact_order[i];
-        cand.push_back(WarmBlock{
-            Contribution(query[t].idf,
-                         static_cast<double>(pl.blocks[b].max_weight),
-                         min_norm, k1),
-            t, b});
-      }
+  constexpr size_t kWarmBlocksMax = 4;
+  struct WarmBlock {
+    double pri;
+    size_t t;
+    uint32_t b;
+  };
+  std::vector<WarmBlock> warm_blocks;
+  for (size_t t = 0; t < m; ++t) {
+    const PostingList& pl = *query[t].postings;
+    const size_t take = std::min(pl.impact_order.size(), kWarmBlocksMax);
+    for (size_t i = 0; i < take; ++i) {
+      const uint32_t b = pl.impact_order[i];
+      warm_blocks.push_back(WarmBlock{
+          Contribution(query[t].idf,
+                       static_cast<double>(pl.blocks[b].max_weight),
+                       min_norm, k1),
+          t, b});
     }
-    std::sort(cand.begin(), cand.end(),
-              [](const WarmBlock& a, const WarmBlock& b) {
-                if (a.pri != b.pri) return a.pri > b.pri;
-                if (a.t != b.t) return a.t < b.t;
-                return a.b < b.b;
-              });
-    // Only worth it when the warmed blocks can fill the heap — a
-    // partially filled heap has no threshold, so the work would prune
-    // nothing.
-    if (std::min(cand.size(), kWarmBlocksMax) * block >= k) {
-      std::vector<DocId> buf(block);
-      size_t taken = 0;
-      for (const WarmBlock& wb : cand) {
-        if (taken >= kWarmBlocksMax || warm_docs.size() >= k) break;
-        const PostingList& pl = *query[wb.t].postings;
-        if (options_.compress_postings) {
-          if (options_.decode_cache_bytes > 0) {
-            // Warm blocks are per-term impact maxima — the hottest
-            // blocks in the index — so they all but live pinned.
-            bool hit = false;
-            const DocId* ids = SealedBlockIds(pl, wb.b, &buf, &hit);
-            warm_docs.insert(warm_docs.end(), ids, ids + block);
-            hit ? ++warm_cache_hits : ++warm_decoded;
-          } else {
-            const uint8_t* data = pl.packed.data();
-            const uint8_t* p = data + pl.blocks[wb.b].offset;
-            const uint8_t* end = wb.b + 1 < pl.blocks.size()
-                                     ? data + pl.blocks[wb.b + 1].offset
-                                     : data + pl.packed.size();
-            const DocId base =
-                wb.b == 0 ? 0 : pl.blocks[wb.b - 1].last_doc;
-            const bool ok =
-                options_.bitpack_postings
-                    ? DecodeBitpackBlock(p, end, block, base, buf.data()) != 0
-                    : DecodeDocBlock(p, end, block, base, buf.data());
-            DS_CHECK(ok) << "corrupt sealed posting block";
-            warm_docs.insert(warm_docs.end(), buf.begin(), buf.end());
-            ++warm_decoded;
-          }
-        } else {
-          const DocId* src = pl.docs.data() + wb.b * block;
-          warm_docs.insert(warm_docs.end(), src, src + block);
-          ++warm_decoded;
-        }
-        ++taken;
-      }
-      std::sort(warm_docs.begin(), warm_docs.end());
-      warm_docs.erase(std::unique(warm_docs.begin(), warm_docs.end()),
-                      warm_docs.end());
-      if (warm_docs.size() >= k) {
-        for (DocId d : warm_docs) {
-          SearchHit cand_hit{d, ScoreDocExact(query, norms, d)};
-          if (heap.size() < k) {
-            heap.push_back(cand_hit);
-            std::push_heap(heap.begin(), heap.end(), Better);
-          } else if (Better(cand_hit, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), Better);
-            heap.back() = cand_hit;
-            std::push_heap(heap.begin(), heap.end(), Better);
-          }
-        }
-        threshold = heap.front().score;
-        demote();
+  }
+  std::sort(warm_blocks.begin(), warm_blocks.end(),
+            [](const WarmBlock& a, const WarmBlock& b) {
+              if (a.pri != b.pri) return a.pri > b.pri;
+              if (a.t != b.t) return a.t < b.t;
+              return a.b < b.b;
+            });
+  // Only worth it when the warmed blocks can fill the heap — a
+  // partially filled heap has no threshold, so the work would prune
+  // nothing.
+  if (std::min(warm_blocks.size(), kWarmBlocksMax) * block >= k) {
+    std::vector<DocId> buf;
+    size_t taken = 0;
+    for (const WarmBlock& wb : warm_blocks) {
+      if (taken >= kWarmBlocksMax || warm_docs.size() >= k) break;
+      const PostingList& pl = *query[wb.t].postings;
+      if (options_.compress_postings) {
+        // Warm blocks are per-term impact maxima — the hottest blocks in
+        // the index — so they all but live pinned.
+        bool hit = false;
+        const DocId* ids = SealedBlockIds(pl, wb.b, &buf, &hit);
+        warm_docs.insert(warm_docs.end(), ids, ids + block);
+        hit ? ++warm_cache_hits : ++warm_decoded;
       } else {
-        // Too few distinct documents to fill the heap: abandon the warm
-        // start so the sweep below owns every document exactly once.
-        warm_docs.clear();
-        heap.clear();
+        const DocId* src = pl.docs.data() + wb.b * block;
+        warm_docs.insert(warm_docs.end(), src, src + block);
+        ++warm_decoded;
       }
+      ++taken;
+    }
+    std::sort(warm_docs.begin(), warm_docs.end());
+    warm_docs.erase(std::unique(warm_docs.begin(), warm_docs.end()),
+                    warm_docs.end());
+    if (warm_docs.size() >= k) {
+      for (DocId d : warm_docs) {
+        SearchHit cand_hit{d, ScoreDocExact(query, norms, d)};
+        if (heap.size() < k) {
+          heap.push_back(cand_hit);
+          std::push_heap(heap.begin(), heap.end(), Better);
+        } else if (Better(cand_hit, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), Better);
+          heap.back() = cand_hit;
+          std::push_heap(heap.begin(), heap.end(), Better);
+        }
+      }
+      threshold = heap.front().score;
+      demote();
+    } else {
+      // Too few distinct documents to fill the heap: abandon the warm
+      // start so the sweep below owns every document exactly once.
+      warm_docs.clear();
+      heap.clear();
     }
   }
 

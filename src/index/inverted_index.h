@@ -13,12 +13,11 @@
 // posting weight, byte offset) is recorded, and — with
 // IndexOptions::compress_postings — its doc ids are re-encoded as
 // fixed-width bit-packed gaps (index/bitpack_codec.h; SIMD-decoded
-// where the CPU allows) or, with bitpack_postings off, as delta+varint
-// bytes (index/block_codec.h, the compat format). The newest postings
-// of a term live in an unsealed raw tail, so ingest stays append-only
-// and interleaved InsertBatch/search keeps working. Posting weights
-// stay raw floats in one parallel array by default, so the scoring
-// loop reads the exact same bits with or without compression; with
+// where the CPU allows). The newest postings of a term live in an
+// unsealed raw tail, so ingest stays append-only and interleaved
+// InsertBatch/search keeps working. Posting weights stay raw floats in
+// one parallel array by default, so the scoring loop reads the exact
+// same bits with or without compression; with
 // IndexOptions::quantize_weights, sealed blocks instead keep 8-bit
 // quantized impact caps (per-block scale, always >= the true weight)
 // used ONLY for bounds and candidate filtering — every surviving
@@ -37,7 +36,7 @@
 // contract: the pruned path returns results BYTE-IDENTICAL to the
 // exhaustive scorer — the same documents, the same IEEE-754 score
 // bits, the same (score desc, doc id asc) tie-break order — for every
-// query and every k, compressed, bit-packed, quantized or not. This
+// query and every k, compressed, quantized or not. This
 // holds because (a) all bounds (list-level, block-level, and quantized
 // per-posting caps) are STRICTLY inflated before any comparison, so a
 // document is skipped only when its true score provably cannot even
@@ -88,39 +87,27 @@ struct IndexOptions {
   bool enable_pruning = true;
   /// Below this many candidate postings per query, the exhaustive scan
   /// is cheaper than maxscore's cursor machinery and is used even with
-  /// pruning enabled (tiny corpora, rare-term-only queries). 0 forces
-  /// maxscore whenever pruning is on AND disables the adaptive k-based
-  /// fallback below (tests use this to pin the pruned path).
+  /// pruning enabled (tiny corpora, rare-term-only queries). Above it a
+  /// fixed deep-k fallback still picks the exhaustive scan when
+  /// k * resolved query terms * 24 >= min(candidate postings, corpus
+  /// size): maxscore only pays once the top-k threshold rises well above
+  /// a typical candidate's score, which cannot happen when k is a
+  /// sizable fraction of that pool, and its per-candidate cursor
+  /// overhead grows with the number of query terms. 0 forces maxscore
+  /// whenever pruning is on, bypassing the fallback too (tests use this
+  /// to pin the pruned path).
   size_t pruning_min_postings = 4096;
-  /// Adaptive exhaustive fallback: maxscore only pays once the top-k
-  /// threshold rises well above a typical candidate's score, which
-  /// cannot happen when k is a sizable fraction of the candidate pool
-  /// (min(candidate postings, corpus size)) — and its per-candidate
-  /// cursor overhead grows with the number of query terms, so the
-  /// break-even k shrinks as queries get longer. When
-  /// k * resolved_query_terms * pruning_k_fallback >= the pool, the
-  /// exhaustive scan wins and is used — this is what keeps deep-k
-  /// many-term queries on small corpora from paying maxscore's cursor
-  /// machinery for no pruning (the pre-fallback 0.65x case). Ignored
-  /// when pruning_min_postings == 0 (the force-maxscore escape hatch).
-  size_t pruning_k_fallback = 24;
   /// Postings per sealed block: the granularity of the per-block skip
-  /// entries that drive block-max pruning, and the unit of delta+varint
+  /// entries that drive block-max pruning, and the unit of bit-packed
   /// doc-id compression. Values far below 64 waste skip-entry memory;
   /// far above 512 they blunt block-max skipping.
   size_t posting_block_size = 128;
-  /// When true, sealed blocks store their doc ids delta+varint
-  /// compressed (2x+ fewer doc-id bytes on realistic corpora — see
-  /// MemoryUsage and bench_index's bytes_per_posting). Weights stay raw
-  /// floats either way, so results are byte-identical; this only trades
-  /// block-decode CPU for memory.
+  /// When true, sealed blocks store their doc ids as fixed-width
+  /// bit-packed gaps (index/bitpack_codec.h; ~5x fewer doc-id bytes on
+  /// the bench corpus — see MemoryUsage and bench_index's
+  /// bytes_per_posting). Weights stay raw floats either way, so results
+  /// are byte-identical; this only trades block-decode CPU for memory.
   bool compress_postings = false;
-  /// Sealed-block doc-id codec when compress_postings is on: true picks
-  /// fixed-width bit packing (index/bitpack_codec.h — smaller AND
-  /// faster to decode, SIMD where available), false the delta+varint
-  /// compat codec. Results are byte-identical either way; flip only to
-  /// compare codecs or to match an old memory profile.
-  bool bitpack_postings = true;
   /// When true, a sealed block's weights are stored as 8-bit quantized
   /// impact caps (per-block scale) instead of raw floats — a 4x cut of
   /// the weight stream. The caps are used only for bounds and candidate
@@ -128,14 +115,6 @@ struct IndexOptions {
   /// the forward index, so results stay byte-identical. Off by default:
   /// it trades a little exact-rescore CPU for memory.
   bool quantize_weights = false;
-  /// When true (and pruning takes the maxscore path), seed the top-k
-  /// heap by exactly scoring the documents of the few highest-impact
-  /// sealed blocks (per-term skip entries kept impact-ordered) before
-  /// the DAAT sweep, so the pruning threshold starts high instead of
-  /// climbing from zero. Pure scheduling: every document is still
-  /// considered exactly once against conservative bounds, so results
-  /// are byte-identical with this on or off.
-  bool enable_impact_warmup = true;
   /// Byte budget for pinned block decodes (0 disables them). Sealed
   /// compressed blocks are immutable once written, so the first query
   /// to decode one may publish ("pin") the decoded doc ids into a
@@ -179,9 +158,8 @@ class InvertedIndex : public WritableIndex {
   explicit InvertedIndex(IndexOptions options = {});
 
   /// Indexes a document; returns its DocId. With duplicate suppression on,
-  /// returns the DocId of the already-indexed duplicate instead of adding
-  /// a new one (the status distinguishes: Aborted means duplicate).
-  /// Thread-safe.
+  /// returns OK with the DocId of the already-indexed duplicate instead
+  /// of adding a new one (num_docs() does not grow). Thread-safe.
   Result<DocId> AddDocument(const std::string& url, const std::string& title,
                             const std::string& body, bool is_deep_web,
                             const std::string& source_host) override;
@@ -267,8 +245,8 @@ class InvertedIndex : public WritableIndex {
   /// Skip entry of one sealed posting block (posting_block_size
   /// postings). `last_doc` bounds the ids the block can hold (blocks
   /// partition the list in ascending-id order), `max_weight` drives the
-  /// block-max score caps, and `offset` locates the block's varint run
-  /// inside PostingList::packed when compression is on (unused
+  /// block-max score caps, and `offset` locates the block's bit-packed
+  /// bytes inside PostingList::packed when compression is on (unused
   /// otherwise — raw ids are addressed by position).
   struct BlockMeta {
     DocId last_doc = 0;
@@ -279,15 +257,15 @@ class InvertedIndex : public WritableIndex {
   /// Postings of one term, ascending doc id, stored as sealed fixed-
   /// size blocks plus an unsealed raw tail. Uncompressed: `docs` holds
   /// every id contiguously (sealing only records a BlockMeta).
-  /// Compressed: sealed ids live bit-packed (or delta+varint, per
-  /// IndexOptions::bitpack_postings) in `packed` and `docs` holds only
-  /// the tail. Without weight quantization `weights` holds every
-  /// posting's raw float weight in posting order — the scorer reads the
-  /// exact same bits however the ids are stored. With quantization,
-  /// sealed postings keep an 8-bit impact cap in `qweights` instead
-  /// (always >= the true weight; per-block scale = the block's
-  /// max_weight) and `weights` holds only the tail; exact floats for
-  /// sealed postings come from the forward index at re-score time.
+  /// Compressed: sealed ids live bit-packed in `packed` and `docs`
+  /// holds only the tail. Without weight quantization `weights` holds
+  /// every posting's raw float weight in posting order — the scorer
+  /// reads the exact same bits however the ids are stored. With
+  /// quantization, sealed postings keep an 8-bit impact cap in
+  /// `qweights` instead (always >= the true weight; per-block scale =
+  /// the block's max_weight) and `weights` holds only the tail; exact
+  /// floats for sealed postings come from the forward index at re-score
+  /// time.
   struct PostingList {
     std::vector<DocId> docs;
     std::vector<float> weights;  ///< tf with title boost applied
@@ -326,16 +304,15 @@ class InvertedIndex : public WritableIndex {
 
   /// DAAT cursor over one posting list. Presents the list as a flat
   /// ascending sequence while touching one "segment" (sealed block or
-  /// the tail) at a time: sealed compressed blocks are decoded into
-  /// `scratch` only when the cursor lands in them, so a SeekTo that
+  /// the tail) at a time: sealed compressed blocks are read through
+  /// SealedBlockIds only when the cursor lands in them, so a SeekTo that
   /// skips whole blocks (via the BlockMeta skip entries) never pays
   /// their decode. Uncompressed segments are served by pointer into the
   /// raw array — no copy.
   struct PostingCursor {
-    /// `idx` lets sealed-block loads go through the pinned-decode
-    /// slots; pass nullptr to always decode privately into `scratch`.
-    void Init(const InvertedIndex* idx, const PostingList* list,
-              const IndexOptions& opts);
+    /// Positions the cursor on `list`'s first posting; `idx` owns the
+    /// list and serves its sealed compressed blocks.
+    void Init(const InvertedIndex* idx, const PostingList* list);
     bool AtEnd() const { return pos >= pl->count; }
     DocId Doc() const { return window[pos - win_begin]; }
     /// Exact float weight. With quantization this exists only in the
@@ -372,10 +349,9 @@ class InvertedIndex : public WritableIndex {
     void EnsureLoaded();
 
     const PostingList* pl = nullptr;
-    const InvertedIndex* owner = nullptr;  ///< for pinned decodes
+    const InvertedIndex* owner = nullptr;  ///< serves sealed-block reads
     uint32_t block_size = 0;
     bool compressed = false;
-    bool bitpacked = false;  ///< sealed blocks bit-packed (vs varint)
     bool quantized = false;  ///< sealed weights are 8-bit caps
     uint32_t sealed = 0;     ///< postings in sealed blocks
     uint32_t pos = 0;        ///< absolute posting position
@@ -487,8 +463,10 @@ class InvertedIndex : public WritableIndex {
   /// = true, stable for the life of the list); otherwise the block is
   /// decoded now — into a freshly pinned buffer while the decode-cache
   /// budget lasts, into `*scratch` (resized as needed, valid until the
-  /// caller's next decode) once it is spent. Requires compress_postings
-  /// and decode_cache_bytes > 0.
+  /// caller's next decode) once it is spent — or always, with
+  /// decode_cache_bytes == 0 (no slots exist then). Every cursor and
+  /// warm-up read of a sealed block comes here. Requires
+  /// compress_postings.
   const DocId* SealedBlockIds(const PostingList& pl, uint32_t b,
                               std::vector<DocId>* scratch, bool* hit) const;
 

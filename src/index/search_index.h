@@ -58,9 +58,9 @@ struct Document {
 struct IndexMemoryUsage {
   /// Doc-id storage, split by format: `raw` counts uncompressed ids
   /// (whole lists when compression is off; just the unsealed tails when
-  /// it is on), `packed` counts the sealed blocks' encoded bytes
-  /// (bit-packed or varint). The old lumped `posting_doc_bytes` figure
-  /// is the sum, kept as a method so existing gates keep reading.
+  /// it is on), `packed` counts the sealed blocks' bit-packed bytes.
+  /// The old lumped `posting_doc_bytes` figure is the sum, kept as a
+  /// method so existing gates keep reading.
   uint64_t posting_doc_raw_bytes = 0;
   uint64_t posting_doc_packed_bytes = 0;
   /// Posting-weight storage, split the same way: raw floats vs 8-bit

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "index/analyzer.h"
@@ -195,6 +199,75 @@ TEST_F(IndexTest, CharacteristicTermsPreferHostSpecificVocab) {
   auto terms = index_.CharacteristicTerms("a.com", 3);
   ASSERT_FALSE(terms.empty());
   EXPECT_EQ(terms[0], "plumbing");
+}
+
+/// CharacteristicTerms computed from the corpus alone, by walking
+/// per-term postings instead of the index's forward lists: per document,
+/// body counts plus title boosts summed in double and stored as float;
+/// per host, those weights summed in ascending doc id order; terms ranked
+/// by tf * log(1 + n / df), ties broken by name.
+std::vector<std::string> ReferenceCharacteristicTerms(
+    const std::vector<Document>& docs, const std::string& host) {
+  std::map<std::string, std::vector<std::pair<size_t, float>>> postings;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    std::map<std::string, double> weights;
+    for (const auto& t : ContentTokens(docs[d].body)) weights[t] += 1.0;
+    for (const auto& t : ContentTokens(docs[d].title)) {
+      weights[t] += IndexOptions{}.title_boost;
+    }
+    for (const auto& [term, w] : weights) {
+      postings[term].emplace_back(d, static_cast<float>(w));
+    }
+  }
+  const double n = static_cast<double>(docs.size());
+  std::vector<std::pair<double, std::string>> ranked;
+  for (const auto& [term, list] : postings) {
+    double tf = 0.0;  // weights are positive: 0 means "not on this host"
+    for (const auto& [d, w] : list) {
+      if (docs[d].source_host == host) tf += static_cast<double>(w);
+    }
+    const double df = static_cast<double>(list.size());
+    if (tf > 0.0) ranked.emplace_back(tf * std::log(1.0 + n / df), term);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<std::string> out;
+  for (const auto& r : ranked) out.push_back(r.second);
+  return out;
+}
+
+TEST(CharacteristicTermsTest, MatchesAPostingsWalkReference) {
+  // Three hosts. On a.example, "zebra" and "yak" only ever occur
+  // together (an exact score tie that the name order must break) and
+  // "catalog" occurs only in a title (all of its weight is title boost).
+  auto doc = [](const std::string& host, int i, const std::string& title,
+                const std::string& body) {
+    return Document{"http://" + host + "/p" + std::to_string(i), title, body,
+                    false, host};
+  };
+  const std::vector<Document> docs = {
+      doc("a.example", 0, "Widget Catalog",
+          "widget gear sprocket zebra yak common"),
+      doc("a.example", 1, "t", "widget widget gear zebra yak common common"),
+      doc("a.example", 2, "t", "sprocket sprocket common common common"),
+      doc("a.example", 3, "t", "gear common filler"),
+      doc("b.example", 4, "Gear Reviews", "gear gear review common"),
+      doc("b.example", 5, "t", "review review rating common sprocket"),
+      doc("b.example", 6, "t", "rating filler common"),
+      doc("c.example", 7, "Filler Notes", "filler filler notes common"),
+      doc("c.example", 8, "t", "notes common widget"),
+      doc("c.example", 9, "t", "common common common filler"),
+  };
+  InvertedIndex idx;
+  ASSERT_TRUE(idx.InsertBatch(docs).ok());
+  ASSERT_EQ(idx.num_docs(), docs.size());  // no duplicates suppressed
+  const size_t k = idx.vocabulary_size() + 5;  // the full ranking
+  for (const std::string host : {"a.example", "b.example", "c.example"}) {
+    const auto expected = ReferenceCharacteristicTerms(docs, host);
+    ASSERT_FALSE(expected.empty()) << host;
+    EXPECT_EQ(idx.CharacteristicTerms(host, k), expected) << host;
+  }
 }
 
 TEST_F(IndexTest, DeterministicTieBreakByDocId) {

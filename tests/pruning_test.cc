@@ -4,11 +4,11 @@
 // equal score doubles, same (score desc, doc id asc) tie-break order.
 // Exercised on randomized corpora across k well below, at, and above
 // the corpus size, at 1/3/8 shards, with and without the serve-layer
-// result cache, with postings compressed (bit-packed and delta+varint
-// sealed blocks) and raw, with weights quantized and exact, with the
-// impact-ordered warm-up on and off, at block sizes small enough to
-// force many sealed blocks plus an unsealed tail, plus the degenerate
-// inputs (empty query, unknown terms, k = 0).
+// result cache, with postings compressed (bit-packed sealed blocks) and
+// raw, with weights quantized and exact, across decode-cache budgets,
+// at block sizes small enough to force many sealed blocks plus an
+// unsealed tail, plus the degenerate inputs (empty query, unknown
+// terms, k = 0).
 
 #include <gtest/gtest.h>
 
@@ -97,40 +97,34 @@ TEST_P(PruningEquivalenceTest, PrunedTopKisByteIdenticalToExhaustive) {
   InvertedIndex exhaustive(exhaustive_opts);
   ASSERT_TRUE(exhaustive.InsertBatch(docs).ok());
 
-  // Pruned configurations: compression on/off crossed with the sealed-
-  // block codec (bit-packed vs varint), weight quantization, and the
-  // impact-ordered warm-up, at a block size small enough that common
-  // terms span many sealed blocks plus a tail (df up to 600 at block
-  // 16) and at the default block size where most lists are tail-only.
-  // Every one must be byte-identical to the exhaustive reference.
+  // Pruned configurations: compression on/off crossed with weight
+  // quantization and the decode-cache budget, at a block size small
+  // enough that common terms span many sealed blocks plus a tail (df up
+  // to 600 at block 16) and at the default block size where most lists
+  // are tail-only. Every one must be byte-identical to the exhaustive
+  // reference.
   struct Config {
     bool compress;
     size_t block;
-    bool bitpack = true;
     bool quantize = false;
-    bool warmup = true;
     size_t cache = 16u << 20;  // IndexOptions::decode_cache_bytes default
   };
   for (const Config& cfg :
        {Config{false, 16}, Config{true, 16}, Config{true, 128},
-        Config{true, 16, /*bitpack=*/false},            // varint compat
-        Config{true, 16, true, /*quantize=*/true},      // full stack
-        Config{false, 16, true, /*quantize=*/true},     // quantize alone
-        Config{true, 16, true, true, /*warmup=*/false},
-        Config{true, 128, true, /*quantize=*/true},
+        Config{true, 16, /*quantize=*/true},   // full stack
+        Config{false, 16, /*quantize=*/true},  // quantize alone
+        Config{true, 128, /*quantize=*/true},
         // Pinned-decode edge cases: no budget (every touch decodes to
         // scratch) and a budget so small it exhausts mid-corpus (mixed
         // pinned/unpinned blocks within single lists).
-        Config{true, 16, true, false, true, /*cache=*/0},
-        Config{true, 16, true, true, true, /*cache=*/256}}) {
+        Config{true, 16, false, /*cache=*/0},
+        Config{true, 16, true, /*cache=*/256}}) {
     IndexOptions pruned_opts;
     pruned_opts.enable_pruning = true;
     pruned_opts.pruning_min_postings = 0;  // force maxscore on this corpus
     pruned_opts.compress_postings = cfg.compress;
     pruned_opts.posting_block_size = cfg.block;
-    pruned_opts.bitpack_postings = cfg.bitpack;
     pruned_opts.quantize_weights = cfg.quantize;
-    pruned_opts.enable_impact_warmup = cfg.warmup;
     pruned_opts.decode_cache_bytes = cfg.cache;
     InvertedIndex pruned(pruned_opts);
     ASSERT_TRUE(pruned.InsertBatch(docs).ok());
@@ -143,9 +137,7 @@ TEST_P(PruningEquivalenceTest, PrunedTopKisByteIdenticalToExhaustive) {
                        pruned.SearchTerms(terms, k),
                        "seed " + std::to_string(GetParam()) + " k=" +
                            std::to_string(k) + (cfg.compress ? " comp" : "") +
-                           (cfg.bitpack ? " bitpack" : " varint") +
                            (cfg.quantize ? " quant" : "") +
-                           (cfg.warmup ? "" : " nowarm") +
                            " block=" + std::to_string(cfg.block) +
                            " cache=" + std::to_string(cfg.cache));
       }
@@ -198,7 +190,7 @@ TEST_P(PruningEquivalenceTest, ShardedPrunedMatchesExhaustiveSingleIndex) {
 
   auto queries = RandomQueries(GetParam() * 57 + 1, 80);
   // Modes: raw, bit-packed compressed, and the full compressed +
-  // quantized + impact-ordered stack — each at 1/3/8 shards.
+  // quantized stack — each at 1/3/8 shards.
   struct Mode {
     bool compress;
     bool quantize;
@@ -358,8 +350,9 @@ TEST(PruningEdgeCases, BlockBoundaryExactMultipleHasNoTail) {
 
 TEST(PruningEdgeCases, AdaptiveFallbackIsUnobservableInResults) {
   // The adaptive deep-k fallback flips which scorer answers, never what
-  // it answers: sweeping the fallback factor from "always exhaustive"
-  // to "always maxscore" must return identical bytes.
+  // it answers: always maxscore (0), the deep-k fallback armed on every
+  // query (1), and a postings floor that sends every query here to the
+  // exhaustive scan must return identical bytes.
   auto docs = RandomDocs(77, 400);
   IndexOptions ex;
   ex.enable_pruning = false;
@@ -367,18 +360,17 @@ TEST(PruningEdgeCases, AdaptiveFallbackIsUnobservableInResults) {
   ASSERT_TRUE(reference.InsertBatch(docs).ok());
 
   auto queries = RandomQueries(78, 60);
-  for (size_t factor : {1u, 48u, 1000000u}) {
+  for (size_t min_postings : {0u, 1u, 1000000u}) {
     IndexOptions opts;
     opts.enable_pruning = true;
-    opts.pruning_min_postings = 1;  // adaptive heuristic armed
-    opts.pruning_k_fallback = factor;
+    opts.pruning_min_postings = min_postings;
     InvertedIndex idx(opts);
     ASSERT_TRUE(idx.InsertBatch(docs).ok());
     for (const auto& terms : queries) {
       for (size_t k : {1u, 10u, 100u}) {
         ExpectSameHits(reference.SearchTerms(terms, k),
                        idx.SearchTerms(terms, k),
-                       "fallback factor " + std::to_string(factor));
+                       "pruning_min_postings " + std::to_string(min_postings));
       }
     }
   }
@@ -486,6 +478,51 @@ TEST(PruningEdgeCases, SearchStatsCountDecodesAndSkips) {
   EXPECT_EQ(total.blocks_decoded, manual.blocks_decoded);
   EXPECT_EQ(total.blocks_skipped, manual.blocks_skipped);
   EXPECT_GT(total.blocks_decoded, 0u);
+}
+
+TEST(PruningEdgeCases, DecodeAccountingIsIndependentOfTheDecodeBudget) {
+  // Cursor and warm-up reads of sealed compressed blocks all go through
+  // one path, pinned or not: the decode budget decides only whether a
+  // read is a decode or a cache hit, never how many blocks a query reads
+  // or skips. Budgets: none (every read decodes to scratch), 256 bytes
+  // (four blocks of 16, spent mid-query), and the default.
+  auto docs = RandomDocs(53, 2000);
+  auto queries = RandomQueries(54, 40);
+  // Head-term queries carry enough candidate postings that default
+  // routing (pruning_min_postings 4096) runs maxscore on them too.
+  const auto& words = synthweb::EnglishWords();
+  for (size_t i = 0; i < 12; ++i) {
+    queries.push_back({words[i], words[(i + 3) % 12], words[(i + 7) % 12],
+                       words[20 + i]});
+  }
+  for (bool force_maxscore : {true, false}) {
+    const std::string label =
+        force_maxscore ? "forced maxscore" : "default routing";
+    std::vector<SearchStats> stats;
+    for (size_t cache : {size_t{0}, size_t{256},
+                         IndexOptions{}.decode_cache_bytes}) {
+      IndexOptions opts;
+      opts.compress_postings = true;
+      opts.posting_block_size = 16;
+      opts.decode_cache_bytes = cache;
+      if (force_maxscore) opts.pruning_min_postings = 0;
+      InvertedIndex idx(opts);
+      ASSERT_TRUE(idx.InsertBatch(docs).ok());
+      for (const auto& terms : queries) {
+        for (size_t k : {1u, 10u, 100u}) (void)idx.SearchTerms(terms, k);
+      }
+      stats.push_back(idx.search_stats());
+    }
+    EXPECT_EQ(stats[0].decode_cache_hits, 0u) << label;
+    EXPECT_GT(stats[2].decode_cache_hits, 0u) << label;
+    EXPECT_GT(stats[0].blocks_skipped, 0u) << label;
+    for (size_t i = 1; i < stats.size(); ++i) {
+      EXPECT_EQ(stats[i].blocks_skipped, stats[0].blocks_skipped) << label;
+      EXPECT_EQ(stats[i].blocks_decoded + stats[i].decode_cache_hits,
+                stats[0].blocks_decoded + stats[0].decode_cache_hits)
+          << label;
+    }
+  }
 }
 
 TEST(PruningEdgeCases, TermInterningIsDense) {
