@@ -18,6 +18,7 @@
 #include "net/web.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "remote/transport.h"
 #include "synthweb/deep_site.h"
 #include "util/logging.h"
 
@@ -73,16 +74,38 @@ inline void Verdict(bool ok, const char* shape) {
   std::printf("shape check [%s]: %s\n", ok ? "PASS" : "DIVERGED", shape);
 }
 
-/// Writes the one-pane observability artifacts next to a bench's --json
-/// output — OBS_<bench>_metrics.txt (the registry's text exposition) and
-/// OBS_<bench>_spans.json (every committed span tree) — and checks the
-/// tracing contract the harnesses gate on: every committed trace is a
-/// complete tree (no span's parent link points outside its trace). The
-/// check always runs; only the files depend on json_path. Returns the
-/// no-orphans verdict.
+/// One instance's block of a composed metrics pane: a `# <instance>`
+/// header line, then that instance's own registry exposition. Serving
+/// components each own their registry, so a pane over several of them
+/// is the concatenation of one block per instance.
+inline std::string PaneBlock(const std::string& instance,
+                             const obs::MetricsRegistry& registry) {
+  return "# " + instance + "\n" + registry.TextDump();
+}
+
+/// Appends one PaneBlock per shard server behind `transport`, labelled
+/// `<label> server shard=S replica=R`.
+inline void AppendServerBlocks(const std::string& label,
+                               remote::LoopbackTransport& transport,
+                               std::string* pane) {
+  for (size_t s = 0; s < transport.num_shards(); ++s) {
+    for (size_t r = 0; r < transport.num_replicas(); ++r) {
+      *pane += PaneBlock(label + " server shard=" + std::to_string(s) +
+                             " replica=" + std::to_string(r),
+                         transport.server(s, r).metrics());
+    }
+  }
+}
+
+/// Writes the observability artifacts next to a bench's --json output —
+/// OBS_<bench>_metrics.txt (`pane`: the caller's PaneBlocks, one per
+/// instance) and OBS_<bench>_spans.json (every committed span tree) —
+/// and checks the tracing contract the harnesses gate on: every
+/// committed trace is a complete tree (no span's parent link points
+/// outside its trace). The check always runs; only the files depend on
+/// json_path. Returns the no-orphans verdict.
 inline bool DumpObs(const char* bench, const char* json_path,
-                    const obs::MetricsRegistry& registry,
-                    const obs::Tracer& tracer) {
+                    const std::string& pane, const obs::Tracer& tracer) {
   const std::vector<obs::Trace> traces = tracer.Traces();
   size_t orphaned = 0;
   for (const obs::Trace& t : traces) {
@@ -98,8 +121,7 @@ inline bool DumpObs(const char* bench, const char* json_path,
     const std::string metrics_path = dir + "OBS_" + bench + "_metrics.txt";
     const std::string spans_path = dir + "OBS_" + bench + "_spans.json";
     if (std::FILE* f = std::fopen(metrics_path.c_str(), "w")) {
-      std::string text = registry.TextDump();
-      std::fwrite(text.data(), 1, text.size(), f);
+      std::fwrite(pane.data(), 1, pane.size(), f);
       std::fclose(f);
     }
     if (std::FILE* f = std::fopen(spans_path.c_str(), "w")) {

@@ -1,8 +1,8 @@
 // E10: the distributed serving layer. The paper's endgame is surfaced
 // content served to millions of users, which means many machines: this
 // harness measures the RPC-shaped shard boundary (src/remote/) over the
-// same Zipf-repetitive query stream bench_serving uses — a shards x
-// replicas x hedging sweep with two built-in verdicts:
+// shared Zipf-repetitive query stream (traffic/traffic_gen.h) — a
+// shards x replicas x hedging sweep with two built-in verdicts:
 //
 //   1. equivalence: every configuration's served top-k is byte-identical
 //      (score bits + tie-break order) to one exhaustive in-process
@@ -78,18 +78,17 @@ int Run(int argc, char** argv) {
       "serving scales past one machine without changing a single result "
       "bit; hedged requests tame the tail a slow replica creates");
 
-  // One pane of glass across every sweep: engines, coordinators, and
-  // all shard servers share one registry (coord.* / serve.* / shard.*
-  // counters accumulate across configurations) and one sampling tracer,
-  // so the artifact shows hedged RPC span trees with server-side
+  // Every engine, coordinator, and shard server owns its counters, so
+  // each row below reports that configuration's work alone. The metrics
+  // artifact is one pane block per instance, collected as each sweep
+  // cell finishes; one sampling tracer spans every sweep, so the spans
+  // artifact shows hedged RPC span trees with server-side
   // queue-wait/scoring splits carried back in the response frames.
-  obs::MetricsRegistry registry;
+  std::string pane;
   obs::TracerOptions topts;
   topts.sample_every = 97;  // a bounded set of exemplar span trees
   topts.slo_ms = 25.0;      // stragglers land in the slow-query log
   obs::Tracer tracer(topts);
-  remote::ShardServerOptions server_opts;
-  server_opts.metrics = &registry;
 
   synthweb::CorpusOptions copts;
   copts.num_deep_sites = 10;
@@ -100,9 +99,9 @@ int Run(int argc, char** argv) {
   auto corpus = synthweb::BuildCorpus(copts);
   auto docs = synthweb::EntityDocuments(corpus);
 
-  // The same shared Zipf-repetitive stream bench_serving replays (see
-  // traffic/traffic_gen.h; traffic_gen_test pins the bytes), at this
-  // harness's smaller pool and stream sizes.
+  // The shared Zipf-repetitive stream (see traffic/traffic_gen.h;
+  // traffic_gen_test pins the bytes), at this harness's pool and stream
+  // sizes.
   constexpr size_t kDistinctQueries = 800;
   constexpr size_t kQueries = 1500;
   constexpr size_t kTopK = 10;
@@ -141,15 +140,13 @@ int Run(int argc, char** argv) {
               "q/s", "p50 ms", "p99 ms", "rpcs", "hedges", "equal");
   for (size_t shards : {1u, 2u, 4u}) {
     for (size_t replicas : {1u, 2u, 3u}) {
-      remote::LoopbackTransport transport(shards, replicas, server_opts);
+      remote::LoopbackTransport transport(shards, replicas);
       remote::CoordinatorOptions copts_grid;
-      copts_grid.metrics = &registry;
       copts_grid.tracer = &tracer;
       remote::Coordinator coordinator(&transport, copts_grid);
       serve::EngineOptions eopts;
       eopts.cache_capacity = 0;  // measure the index path, not the cache
       eopts.default_top_k = kTopK;
-      eopts.metrics = &registry;
       eopts.tracer = &tracer;
       serve::Engine engine(&coordinator, eopts);
       engine.SetIngestSource("distributed-ingest");
@@ -188,6 +185,11 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(row.rpcs),
                   static_cast<unsigned long long>(row.hedges),
                   identical ? "yes" : "NO");
+      const std::string cell = "grid shards=" + std::to_string(shards) +
+                               " replicas=" + std::to_string(replicas);
+      pane += bench::PaneBlock(cell + " engine", engine.metrics());
+      pane += bench::PaneBlock(cell + " coordinator", coordinator.metrics());
+      bench::AppendServerBlocks(cell, transport, &pane);
     }
   }
 
@@ -202,13 +204,12 @@ int Run(int argc, char** argv) {
   std::vector<HedgeRow> hedge_rows;
   bool hedged_identical = true;
   for (bool hedging : {false, true}) {
-    remote::LoopbackTransport loopback(2, 2, server_opts);
+    remote::LoopbackTransport loopback(2, 2);
     remote::FlakyTransport flaky(&loopback, {});
     remote::CoordinatorOptions ropts;
     ropts.hedging = hedging;
     ropts.hedge_min_ms = 0.2;
     ropts.hedge_max_ms = 1.0;  // hedge well before the 4ms injected delay
-    ropts.metrics = &registry;
     ropts.tracer = &tracer;
     remote::Coordinator coordinator(&flaky, ropts);
     DS_CHECK(coordinator.InsertBatch(docs).ok());
@@ -243,6 +244,10 @@ int Run(int argc, char** argv) {
                 row.p99_ms, static_cast<unsigned long long>(row.hedges),
                 static_cast<unsigned long long>(row.hedge_wins),
                 static_cast<unsigned long long>(row.failovers));
+    const std::string cell =
+        std::string("slow_replica hedging=") + (hedging ? "on" : "off");
+    pane += bench::PaneBlock(cell + " coordinator", coordinator.metrics());
+    bench::AppendServerBlocks(cell, loopback, &pane);
   }
   if (!hedged_identical) all_identical = false;
   // Gate against the un-hedged MEDIAN, not its p99: the median is
@@ -261,10 +266,9 @@ int Run(int argc, char** argv) {
   bool failover_clean = true;
   uint64_t failover_partial = 0;
   {
-    remote::LoopbackTransport loopback(2, 2, server_opts);
+    remote::LoopbackTransport loopback(2, 2);
     remote::FlakyTransport flaky(&loopback, {});
     remote::CoordinatorOptions fopts;
-    fopts.metrics = &registry;
     fopts.tracer = &tracer;
     remote::Coordinator coordinator(&flaky, fopts);
     DS_CHECK(coordinator.InsertBatch(docs).ok());
@@ -283,6 +287,9 @@ int Run(int argc, char** argv) {
                 static_cast<unsigned long long>(failover_partial),
                 static_cast<unsigned long long>(cstats.failovers),
                 failover_clean ? "identical" : "DIVERGED");
+    pane += bench::PaneBlock("killed_replica coordinator",
+                             coordinator.metrics());
+    bench::AppendServerBlocks("killed_replica", loopback, &pane);
   }
 
   const double bytes_per_posting = cluster_mem.bytes_per_posting();
@@ -293,8 +300,7 @@ int Run(int argc, char** argv) {
               static_cast<double>(cluster_mem.total_bytes()) /
                   (1024.0 * 1024.0));
 
-  bool obs_complete = bench::DumpObs("bench_remote", json_path, registry,
-                                     tracer);
+  bool obs_complete = bench::DumpObs("bench_remote", json_path, pane, tracer);
 
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");

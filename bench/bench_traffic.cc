@@ -154,10 +154,6 @@ struct TargetReport {
   uint64_t batches_replayed = 0;
   uint64_t catchup_bytes = 0;
 
-  /// Per-phase latency distributions of completed queries, merged from
-  /// the workers' private histograms (stats::Histogram::Merge).
-  std::vector<stats::Histogram> phase_hist;
-
   bool equivalence() const {
     return sample_mismatches == 0 && settled_identical;
   }
@@ -260,18 +256,6 @@ TargetReport RunTarget(const TargetSetup& target,
   for (size_t c : per_phase) max_phase = std::max(max_phase, c);
   stats::PhaseLatencies latencies(num_phases, max_phase);
 
-  // Each worker owns a private histogram per phase (no locks on the
-  // serving path); the report merges them per phase after the run.
-  constexpr double kHistHiMs = 2.0 * kSloMs;
-  constexpr size_t kHistBuckets = 20;
-  std::vector<std::vector<stats::Histogram>> worker_hist(workers);
-  for (auto& per_worker : worker_hist) {
-    per_worker.reserve(num_phases);
-    for (size_t p = 0; p < num_phases; ++p) {
-      per_worker.emplace_back(0.0, kHistHiMs, kHistBuckets);
-    }
-  }
-
   std::vector<std::atomic<uint64_t>> issued(num_phases), shed(num_phases),
       errors(num_phases), slo_ok(num_phases), completed(num_phases);
   for (size_t p = 0; p < num_phases; ++p) {
@@ -356,7 +340,7 @@ TargetReport RunTarget(const TargetSetup& target,
   });
 
   std::atomic<size_t> next{0};
-  auto worker = [&](size_t w) {
+  auto worker = [&] {
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= arrivals.size()) return;
@@ -372,7 +356,6 @@ TargetReport RunTarget(const TargetSetup& target,
       if (res.status.ok()) {
         completed[a.phase].fetch_add(1, std::memory_order_relaxed);
         latencies.Add(a.phase, lat_ms);
-        worker_hist[w][a.phase].Add(lat_ms);
         if (lat_ms <= kSloMs) {
           slo_ok[a.phase].fetch_add(1, std::memory_order_relaxed);
         }
@@ -398,19 +381,12 @@ TargetReport RunTarget(const TargetSetup& target,
   };
   std::vector<std::thread> pool_threads;
   pool_threads.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) pool_threads.emplace_back(worker, w);
+  for (size_t w = 0; w < workers; ++w) pool_threads.emplace_back(worker);
   for (auto& t : pool_threads) t.join();
   monitor.join();
   snaps[num_phases] = Snap(target);
   if (churn_thread.joinable()) churn_thread.join();
   if (chaos_thread.joinable()) chaos_thread.join();
-
-  // One distribution per phase out of the workers' private copies.
-  for (size_t p = 0; p < num_phases; ++p) {
-    stats::Histogram merged(0.0, kHistHiMs, kHistBuckets);
-    for (const auto& per_worker : worker_hist) merged.Merge(per_worker[p]);
-    report.phase_hist.push_back(std::move(merged));
-  }
 
   // Heal the fabric for the post-run settled check. Each Revive fires
   // the revive listener, which enqueues the replica for catch-up.
@@ -545,24 +521,6 @@ void PrintTarget(const TargetReport& r) {
         row.p999_ms, 100.0 * row.goodput_frac, 100.0 * row.cache_hit_rate,
         100.0 * row.decode_cache_hit_rate,
         static_cast<unsigned long long>(row.hedges));
-  }
-  if (!r.phase_hist.empty()) {
-    std::printf("  latency distribution (completed queries, per-worker "
-                "histograms merged):\n");
-    for (size_t p = 0; p < r.rows.size() && p < r.phase_hist.size(); ++p) {
-      const stats::Histogram& h = r.phase_hist[p];
-      uint64_t under_slo = 0;
-      for (size_t b = 0; b < h.num_buckets(); ++b) {
-        if (h.BucketLow(b) < kSloMs) under_slo += h.bucket(b);
-      }
-      std::printf("    %8s: %llu of %llu under the %.0fms SLO (%.1f%%)\n",
-                  r.rows[p].name.c_str(),
-                  static_cast<unsigned long long>(under_slo),
-                  static_cast<unsigned long long>(h.total()), kSloMs,
-                  h.total() == 0 ? 0.0
-                                 : 100.0 * static_cast<double>(under_slo) /
-                                       static_cast<double>(h.total()));
-    }
   }
   if (r.churn_docs > 0) {
     std::printf("  churn: %llu docs surfaced into the live index in "
@@ -809,12 +767,13 @@ int Run(int argc, char** argv) {
   index::IndexOptions serving_opts;
   serving_opts.compress_postings = true;
 
-  // One pane of glass over both serving stacks: engines, the
-  // coordinator, and every shard server share this registry and tracer.
-  // Sampled span trees from under open-loop load (hedges, cancellations,
-  // queue waits during chaos) become the OBS_ artifacts; the no-orphan
-  // contract on them is an always-gated verdict.
-  obs::MetricsRegistry registry;
+  // One tracer over both serving stacks: sampled span trees from under
+  // open-loop load (hedges, cancellations, queue waits during chaos)
+  // become the OBS_ spans artifact; the no-orphan contract on them is an
+  // always-gated verdict. Every engine, coordinator, and shard server
+  // owns its counters; the metrics artifact is one pane block per
+  // instance, collected before each target is torn down.
+  std::string pane;
   obs::TracerOptions topts;
   topts.sample_every = 1009;  // a bounded set of exemplar span trees
   topts.slo_ms = kSloMs;      // over-SLO stragglers commit + slow log
@@ -837,7 +796,6 @@ int Run(int argc, char** argv) {
     traffic::RecordingWritableIndex recorder(&sharded);
     serve::EngineOptions eopts;
     eopts.default_top_k = kTopK;
-    eopts.metrics = &registry;
     eopts.tracer = &tracer;
     serve::Engine engine(&sharded, eopts);
     engine.SetIngestSource("surfacing-churn");
@@ -851,18 +809,17 @@ int Run(int argc, char** argv) {
                                 churn_corpus.web.get(), churn_forms, workers,
                                 /*churn_seed=*/77));
     PrintTarget(reports.back());
+    pane += bench::PaneBlock("sharded-inproc engine", engine.metrics());
   }
 
   // --- Target 2: the remote cluster behind the chaos fabric. ---
   {
     remote::ShardServerOptions server_opts;
     server_opts.index = serving_opts;
-    server_opts.metrics = &registry;
     remote::LoopbackTransport loopback(2, 2, server_opts);
     remote::FlakyTransport flaky(&loopback, {});
     remote::CoordinatorOptions ropts;
     ropts.hedge_max_ms = 2.0;  // hedge well before the slow-replica epochs
-    ropts.metrics = &registry;
     ropts.tracer = &tracer;
     remote::Coordinator coordinator(&flaky, ropts);
     // Revive-without-catch-up is impossible by construction: the fabric
@@ -874,7 +831,6 @@ int Run(int argc, char** argv) {
     traffic::RecordingWritableIndex recorder(&coordinator);
     serve::EngineOptions eopts;
     eopts.default_top_k = kTopK;
-    eopts.metrics = &registry;
     eopts.tracer = &tracer;
     serve::Engine engine(&coordinator, eopts);
     engine.SetIngestSource("surfacing-churn");
@@ -890,6 +846,10 @@ int Run(int argc, char** argv) {
                                 churn_corpus.web.get(), churn_forms, workers,
                                 /*churn_seed=*/77));
     PrintTarget(reports.back());
+    pane += bench::PaneBlock("remote-coordinator engine", engine.metrics());
+    pane += bench::PaneBlock("remote-coordinator coordinator",
+                             coordinator.metrics());
+    bench::AppendServerBlocks("remote-coordinator", loopback, &pane);
   }
 
   // --- Verdicts. ---
@@ -907,8 +867,7 @@ int Run(int argc, char** argv) {
   bool slo_chaos = remote_report.chaos_p99_ms > 0.0 &&
                    remote_report.chaos_p99_ms <= kSloMs &&
                    remote_report.chaos_goodput_frac >= 0.95;
-  bool obs_complete =
-      bench::DumpObs("bench_traffic", json_path, registry, tracer);
+  bool obs_complete = bench::DumpObs("bench_traffic", json_path, pane, tracer);
 
   std::printf("\nverdicts:\n");
   std::printf("  [%s] equivalence under load: every sampled result matches "

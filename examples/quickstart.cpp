@@ -58,12 +58,10 @@ int main(int argc, char** argv) {
   //    coordinator to a 2-shards x 2-replicas cluster of shard servers
   //    behind the message-passing boundary. Both implement WritableIndex
   //    and return byte-identical results.
-  // The one-pane-of-glass observability surface (--distributed): the
-  // engine, the coordinator, and all four shard servers write their
-  // counters into this shared registry, and every query is traced
-  // (1-in-1 sampling) into this tracer. Declared ahead of the probe
-  // scheduler so its snapshot callbacks outlive nothing they capture.
-  obs::MetricsRegistry metrics;
+  // The observability surface (--distributed): the engine, the
+  // coordinator, and each of the four shard servers keep their own
+  // counters (printed below as one block per instance), and every query
+  // is traced (1-in-1 sampling) into this tracer.
   obs::TracerOptions trace_opts;
   trace_opts.sample_every = 1;
   trace_opts.slo_ms = 25.0;
@@ -74,12 +72,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<remote::Coordinator> coordinator;
   index::WritableIndex* index_ptr = nullptr;
   if (distributed) {
-    remote::ShardServerOptions server_opts;
-    server_opts.metrics = &metrics;
     cluster = std::make_unique<remote::LoopbackTransport>(
-        /*num_shards=*/2, /*num_replicas=*/2, server_opts);
+        /*num_shards=*/2, /*num_replicas=*/2);
     remote::CoordinatorOptions coord_opts;
-    coord_opts.metrics = &metrics;
     coord_opts.tracer = &tracer;
     coordinator = std::make_unique<remote::Coordinator>(cluster.get(),
                                                         coord_opts);
@@ -110,19 +105,6 @@ int main(int argc, char** argv) {
   // Note the seed index stays null: the output index must not seed its
   // own run (see SurfacingDriverOptions::seed_index).
   net::ProbeScheduler scheduler(corpus.web.get());
-  if (distributed) {
-    // Project the probe scheduler's pre-existing stats struct into the
-    // shared pane as callback counters: polled only when the registry
-    // snapshots, so the fetch path is untouched.
-    metrics.AddCallback("net.probe_requests",
-                        [&scheduler] { return scheduler.stats().requests; });
-    metrics.AddCallback("net.probe_cache_hits", [&scheduler] {
-      return scheduler.stats().cache_hits;
-    });
-    metrics.AddCallback("net.probe_budget_denials", [&scheduler] {
-      return scheduler.stats().budget_denials;
-    });
-  }
   crawler::SurfacingDriverOptions dopts;
   dopts.num_threads = 2;
   crawler::SurfacingDriver driver(&scheduler, &index, dopts);
@@ -146,19 +128,22 @@ int main(int argc, char** argv) {
                   outcome.pages_indexed);
     }
   }
-  std::printf("index now has %zu docs (probe cache: %.0f%% hit rate, %zu "
-              "pages in %.2fs)\n",
-              index.num_docs(), 100.0 * stats->scheduler.HitRate(),
+  std::printf("index now has %zu docs (probe cache: %llu requests, %llu "
+              "hits, %.0f%% hit rate, %llu budget denials; %zu pages in "
+              "%.2fs)\n",
+              index.num_docs(),
+              static_cast<unsigned long long>(stats->scheduler.requests),
+              static_cast<unsigned long long>(stats->scheduler.cache_hits),
+              100.0 * stats->scheduler.HitRate(),
+              static_cast<unsigned long long>(
+                  stats->scheduler.budget_denials),
               stats->pages_indexed, stats->wall_seconds);
 
   // 5. A query about a *tail* record: only a surfaced page can answer.
   //    Users hit the serve engine, whose LRU result cache absorbs the
   //    repeats that dominate a real (Zipfian) query log.
   serve::EngineOptions eopts;
-  if (distributed) {
-    eopts.metrics = &metrics;
-    eopts.tracer = &tracer;
-  }
+  if (distributed) eopts.tracer = &tracer;
   serve::Engine engine(&index, eopts);
   const auto& entity = corpus.entities.back();
   auto tokens = index::ContentTokens(corpus.EntityText(entity));
@@ -190,22 +175,28 @@ int main(int argc, char** argv) {
   }
 
   if (distributed) {
-    // Fold cluster health (ProbeHealth) into the pane as gauges, then
-    // print the whole serving stack's state in one deterministic dump:
-    // serve.* (engine), coord.* (fan-out, hedging, rpc latency),
-    // shard.* (queues, scoring), net.* (probe scheduler callbacks),
-    // cluster.* (replica health).
-    int64_t replicas_serving = 0, replicas_current = 0, replicas_total = 0;
+    // Cluster health from one ProbeHealth sweep, then the serving
+    // stack's counters as one deterministic block per instance: serve.*
+    // (engine), coord.* (fan-out, hedging, rpc latency), and shard.*
+    // (each server's queue and scoring).
+    size_t replicas_serving = 0, replicas_current = 0, replicas_total = 0;
     for (const auto& probe : coordinator->ProbeHealth()) {
       ++replicas_total;
       if (!probe.marked_dead) ++replicas_serving;
       if (probe.last_acked_seq == probe.shard_head_seq) ++replicas_current;
     }
-    metrics.gauge("cluster.replicas_total")->Set(replicas_total);
-    metrics.gauge("cluster.replicas_serving")->Set(replicas_serving);
-    metrics.gauge("cluster.replicas_current")->Set(replicas_current);
-    std::printf("\n--- one pane of glass (shared obs::MetricsRegistry) ---\n");
-    std::printf("%s", metrics.TextDump().c_str());
+    std::printf("replica health: %zu total, %zu serving, %zu current\n",
+                replicas_total, replicas_serving, replicas_current);
+    std::printf("\n--- one pane of glass (one block per instance) ---\n");
+    std::printf("# engine\n%s", engine.metrics().TextDump().c_str());
+    std::printf("# coordinator\n%s",
+                coordinator->metrics().TextDump().c_str());
+    for (size_t s = 0; s < cluster->num_shards(); ++s) {
+      for (size_t r = 0; r < cluster->num_replicas(); ++r) {
+        std::printf("# server shard=%zu replica=%zu\n%s", s, r,
+                    cluster->server(s, r).metrics().TextDump().c_str());
+      }
+    }
     std::printf("--- tracing: %llu span trees committed (1-in-1 "
                 "sampling), %zu slow queries over %.0f ms ---\n",
                 static_cast<unsigned long long>(tracer.traces_committed()),

@@ -21,32 +21,6 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 size_t Counter::StripeIndex() {
@@ -160,47 +134,27 @@ LatencyHistogram* MetricsRegistry::histogram(const std::string& name,
   return slot.get();
 }
 
-void MetricsRegistry::AddCallback(const std::string& name,
-                                  std::function<uint64_t()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  callbacks_[name] = std::move(fn);
-}
-
-void MetricsRegistry::RemoveCallback(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  callbacks_.erase(name);
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  // Copy the callback closures out so they run without the registration
-  // lock held — a callback is free to take its own component's lock.
-  std::map<std::string, std::function<uint64_t()>> callbacks;
   MetricsSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, c] : counters_) snap.counters[name] = c->Value();
-    for (const auto& [name, g] : gauges_) snap.gauges[name] = g->Value();
-    for (const auto& [name, h] : histograms_) {
-      HistogramSnapshot hs;
-      hs.bounds = h->bounds();
-      hs.counts.reserve(h->num_buckets());
-      for (size_t i = 0; i < h->num_buckets(); ++i) {
-        hs.counts.push_back(h->bucket(i));
-      }
-      hs.total = h->total();
-      hs.sum_ms = h->sum_ms();
-      snap.histograms[name] = std::move(hs);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, c] : counters_) snap.counters[name] = c->Value();
+  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->Value();
+  for (const auto& [name, h] : histograms_) {
+    HistogramSnapshot hs;
+    hs.bounds = h->bounds();
+    hs.counts.reserve(h->num_buckets());
+    for (size_t i = 0; i < h->num_buckets(); ++i) {
+      hs.counts.push_back(h->bucket(i));
     }
-    callbacks = callbacks_;
+    hs.total = h->total();
+    hs.sum_ms = h->sum_ms();
+    snap.histograms[name] = std::move(hs);
   }
-  for (const auto& [name, fn] : callbacks) snap.counters[name] = fn();
   return snap;
 }
 
-std::string MetricsRegistry::TextDump() const { return TextDump(Snapshot()); }
-std::string MetricsRegistry::JsonDump() const { return JsonDump(Snapshot()); }
-
-std::string MetricsRegistry::TextDump(const MetricsSnapshot& snap) {
+std::string MetricsRegistry::TextDump() const {
+  const MetricsSnapshot snap = Snapshot();
   std::string out;
   for (const auto& [name, v] : snap.counters) {
     out += name;
@@ -226,46 +180,6 @@ std::string MetricsRegistry::TextDump(const MetricsSnapshot& snap) {
     out += name + "_total " + std::to_string(h.total) + "\n";
     out += name + "_sum_ms " + FormatDouble(h.sum_ms) + "\n";
   }
-  return out;
-}
-
-std::string MetricsRegistry::JsonDump(const MetricsSnapshot& snap) {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : snap.counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ": " + std::to_string(v);
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : snap.gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ": " + std::to_string(v);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ": {\"bounds_ms\": [";
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i) out += ", ";
-      out += FormatDouble(h.bounds[i]);
-    }
-    out += "], \"counts\": [";
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ", ";
-      out += std::to_string(h.counts[i]);
-    }
-    out += "], \"total\": " + std::to_string(h.total) +
-           ", \"sum_ms\": " + FormatDouble(h.sum_ms) + "}";
-  }
-  out += "\n  }\n}\n";
   return out;
 }
 

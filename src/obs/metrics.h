@@ -1,11 +1,11 @@
 // Copyright 2026 The deepsurf Authors.
 //
-// The unified metrics registry: one pane of glass over the serving
-// stack's per-layer counters. Every layer (serve::Engine, the remote
-// Coordinator, ShardServer, the index, the probe scheduler) historically
-// grew its own ad-hoc stats struct with its own lock; this registry
-// gives them a shared naming scheme and one exposition surface while
-// keeping the hot path lock-free:
+// The metrics registry: the serving stack's per-instance counters under
+// one naming scheme and one exposition format. Every serving component
+// (serve::Engine, remote::Coordinator, remote::ShardServer) owns one
+// registry by value, so no two instances ever share a counter and every
+// number a registry reports belongs to exactly one instance. The hot
+// path stays lock-free:
 //
 //   * Counter — a monotone counter striped over cache-line-padded
 //     relaxed atomics, so concurrent increments from many serving
@@ -15,11 +15,6 @@
 //   * LatencyHistogram — fixed upper-bound buckets (milliseconds) with
 //     relaxed atomic counts; Observe is one branchy scan plus one
 //     fetch_add, cheap enough for per-query use.
-//   * Callback gauges — the CIDARTHA "pluggable consumer" idiom: a
-//     registered closure polled only at snapshot time, which is how
-//     pre-existing cumulative stats structs (index::SearchStats,
-//     ProbeSchedulerStats, coordinator RPC percentiles) project into
-//     the one pane without touching their hot paths.
 //
 // Registration (name -> object) takes a mutex — a slow path done once
 // at component construction. Returned pointers are stable for the
@@ -29,21 +24,22 @@
 // counter and histogram bucket is cumulative and never regresses, so
 // consecutive snapshots are monotone non-decreasing and a window's
 // activity is plain subtraction (Delta saturates at zero anyway, so a
-// misuse cannot wrap). Exposition (text and JSON) is deterministic:
-// names are emitted in sorted order with fixed formatting, so two dumps
-// of identical state are byte-identical — which is what lets tests
-// golden-match them and CI diff them across runs.
+// misuse cannot wrap). The text exposition is deterministic: names are
+// emitted in sorted order with fixed formatting, so two dumps of
+// identical state are byte-identical — which is what lets tests
+// golden-match them and CI diff them across runs. A caller that wants
+// one pane over several instances concatenates their dumps, each under
+// its own `# <instance>` header line.
 //
 // Naming convention (see README "Observability"): dot-separated
-// lowercase paths, first segment = layer ("serve", "coord", "shard",
-// "index", "net", "cluster"); histograms end in "_ms".
+// lowercase paths, first segment = the owning layer's fixed prefix
+// ("serve", "coord", "shard"); histograms end in "_ms".
 
 #ifndef DEEPSURF_OBS_METRICS_H_
 #define DEEPSURF_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -155,7 +151,7 @@ struct HistogramSnapshot {
 /// registry taken at t0 < t1, `later.Delta(earlier)` is exactly the
 /// activity of the window — the monotone-census rule.
 struct MetricsSnapshot {
-  std::map<std::string, uint64_t> counters;  ///< callbacks included
+  std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
@@ -179,31 +175,18 @@ class MetricsRegistry {
   LatencyHistogram* histogram(const std::string& name,
                               std::vector<double> bounds = {});
 
-  /// Registers a pluggable consumer: `fn` is polled at snapshot/dump
-  /// time and its value reported as a cumulative counter under `name`.
-  /// The closure must stay callable until RemoveCallback — callers
-  /// whose lifetime is shorter than the registry's must unregister.
-  void AddCallback(const std::string& name, std::function<uint64_t()> fn);
-  void RemoveCallback(const std::string& name);
-
   MetricsSnapshot Snapshot() const;
 
   /// Deterministic text exposition: one sorted `name value` line per
   /// counter/gauge, histograms as `name{le="..."} count` lines plus
   /// `name_total` / `name_sum_ms`. Identical state => identical bytes.
   std::string TextDump() const;
-  /// The same snapshot as a deterministic JSON object.
-  std::string JsonDump() const;
-
-  static std::string TextDump(const MetricsSnapshot& snap);
-  static std::string JsonDump(const MetricsSnapshot& snap);
 
  private:
-  mutable std::mutex mu_;  ///< registration + callback polling only
+  mutable std::mutex mu_;  ///< registration + snapshots only
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
-  std::map<std::string, std::function<uint64_t()>> callbacks_;
 };
 
 }  // namespace obs

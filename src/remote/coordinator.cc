@@ -88,30 +88,23 @@ Coordinator::Coordinator(Transport* transport, CoordinatorOptions options)
   replica_search_stats_.assign(num_shards_ * num_replicas_,
                                index::SearchStats{});
 
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   tracer_ = options_.tracer != nullptr ? options_.tracer
                                        : obs::DefaultTracer();
-  const std::string& p = options_.metrics_prefix;
-  c_searches_ = metrics_->counter(p + "searches");
-  c_ingest_batches_ = metrics_->counter(p + "ingest_batches");
-  c_rpcs_ = metrics_->counter(p + "rpcs");
-  c_hedges_ = metrics_->counter(p + "hedges");
-  c_hedge_wins_ = metrics_->counter(p + "hedge_wins");
-  c_failovers_ = metrics_->counter(p + "failovers");
-  c_timeouts_ = metrics_->counter(p + "timeouts");
-  c_failed_shard_calls_ = metrics_->counter(p + "failed_shard_calls");
-  c_partial_results_ = metrics_->counter(p + "partial_results");
-  c_ingest_stragglers_ = metrics_->counter(p + "ingest_stragglers");
-  c_replicas_rejoined_ = metrics_->counter(p + "replicas_rejoined");
-  c_batches_replayed_ = metrics_->counter(p + "batches_replayed");
-  c_catchup_bytes_ = metrics_->counter(p + "catchup_bytes");
-  g_replicas_dead_ = metrics_->gauge(p + "replicas_dead");
-  h_rpc_ms_ = metrics_->histogram(p + "rpc_ms");
+  c_searches_ = metrics_.counter("coord.searches");
+  c_ingest_batches_ = metrics_.counter("coord.ingest_batches");
+  c_rpcs_ = metrics_.counter("coord.rpcs");
+  c_hedges_ = metrics_.counter("coord.hedges");
+  c_hedge_wins_ = metrics_.counter("coord.hedge_wins");
+  c_failovers_ = metrics_.counter("coord.failovers");
+  c_timeouts_ = metrics_.counter("coord.timeouts");
+  c_failed_shard_calls_ = metrics_.counter("coord.failed_shard_calls");
+  c_partial_results_ = metrics_.counter("coord.partial_results");
+  c_ingest_stragglers_ = metrics_.counter("coord.ingest_stragglers");
+  c_replicas_rejoined_ = metrics_.counter("coord.replicas_rejoined");
+  c_batches_replayed_ = metrics_.counter("coord.batches_replayed");
+  c_catchup_bytes_ = metrics_.counter("coord.catchup_bytes");
+  g_replicas_dead_ = metrics_.gauge("coord.replicas_dead");
+  h_rpc_ms_ = metrics_.histogram("coord.rpc_ms");
 
   // Enough workers that one query's fan-out plus replicated ingest can
   // run wide; the calling thread always executes one job itself, so an

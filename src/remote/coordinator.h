@@ -134,12 +134,6 @@ struct CoordinatorOptions {
   size_t catchup_fetch_bytes = 1u << 20;
   /// RPC attempts per replayed batch / per catch-up probe.
   size_t catchup_attempts = 3;
-  /// Metrics registry the coordinator's counters live in
-  /// (obs/metrics.h); nullptr = a private registry. Share one registry
-  /// with the engine and the servers for the one-pane exposition dump.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Name prefix for the coordinator's metrics ("coord." by default).
-  std::string metrics_prefix = "coord.";
   /// Tracer coordinator-owned traces are sampled into (obs/trace.h);
   /// nullptr = the process-global obs::DefaultTracer(). A query that
   /// already carries a trace (serve::Engine installed it as the
@@ -149,8 +143,8 @@ struct CoordinatorOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-/// Cumulative counters (all since construction). A thin snapshot view
-/// over the coordinator's registry-backed counters (obs/metrics.h) —
+/// Cumulative counters of one coordinator (all since construction). A
+/// thin snapshot view over the coordinator's own registry (metrics()) —
 /// the registry is the source of truth, this struct is the stable API.
 struct CoordinatorStats {
   uint64_t searches = 0;
@@ -235,9 +229,9 @@ class Coordinator : public index::WritableIndex {
 
   CoordinatorStats stats() const;
 
-  /// The registry the coordinator's counters live in (the private one
-  /// unless options.metrics was set).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// This coordinator's own counters, all under the fixed "coord."
+  /// prefix. No other instance writes to them.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// The tracer coordinator-owned traces are sampled into.
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -412,10 +406,8 @@ class Coordinator : public index::WritableIndex {
   mutable uint64_t hedge_delay_refresh_at_ = 0;  ///< next total() to recompute at
   mutable std::atomic<uint64_t> rotation_{0};  ///< primary-replica rotation
 
-  /// Registry-backed counters (CoordinatorStats is their snapshot
-  /// view). owned_metrics_ backs metrics_ when no registry was given.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  /// Registry-backed counters (CoordinatorStats is their snapshot view).
+  obs::MetricsRegistry metrics_;
   obs::Tracer* tracer_;
   obs::Counter* c_searches_;
   obs::Counter* c_ingest_batches_;

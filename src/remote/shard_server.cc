@@ -11,24 +11,17 @@ namespace remote {
 
 ShardServer::ShardServer(ShardServerOptions options)
     : options_(options), index_(options.index), wal_(options.wal) {
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  const std::string& p = options_.metrics_prefix;
-  c_served_ = metrics_->counter(p + "served");
-  c_rejected_ = metrics_->counter(p + "rejected");
-  c_cancelled_ = metrics_->counter(p + "cancelled");
-  c_searches_ = metrics_->counter(p + "searches");
-  c_ingest_batches_ = metrics_->counter(p + "ingest_batches");
-  c_ingest_replays_ = metrics_->counter(p + "ingest_replays");
-  c_fetches_ = metrics_->counter(p + "fetches");
-  c_health_checks_ = metrics_->counter(p + "health_checks");
-  c_decode_errors_ = metrics_->counter(p + "decode_errors");
-  g_queue_depth_ = metrics_->gauge(p + "queue_depth");
-  h_queue_wait_ms_ = metrics_->histogram(p + "queue_wait_ms");
+  c_served_ = metrics_.counter("shard.served");
+  c_rejected_ = metrics_.counter("shard.rejected");
+  c_cancelled_ = metrics_.counter("shard.cancelled");
+  c_searches_ = metrics_.counter("shard.searches");
+  c_ingest_batches_ = metrics_.counter("shard.ingest_batches");
+  c_ingest_replays_ = metrics_.counter("shard.ingest_replays");
+  c_fetches_ = metrics_.counter("shard.fetches");
+  c_health_checks_ = metrics_.counter("shard.health_checks");
+  c_decode_errors_ = metrics_.counter("shard.decode_errors");
+  g_queue_depth_ = metrics_.gauge("shard.queue_depth");
+  h_queue_wait_ms_ = metrics_.histogram("shard.queue_wait_ms");
   size_t workers = std::max<size_t>(1, options_.num_workers);
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {

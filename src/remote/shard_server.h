@@ -70,18 +70,10 @@ struct ShardServerOptions {
   /// Largest payload-byte budget one Fetch response will carry, however
   /// much the peer asked for (bounds response frames).
   size_t max_fetch_bytes = 4u << 20;
-  /// Metrics registry the server's counters live in (obs/metrics.h).
-  /// nullptr = a private registry, which keeps stats() exact per server;
-  /// pointing several servers at one shared registry sums their
-  /// counters into a cluster view (give each a distinct prefix if you
-  /// still want them apart).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Name prefix for this server's metrics ("shard." by default).
-  std::string metrics_prefix = "shard.";
 };
 
-/// Cumulative counters (all since construction). A thin snapshot view
-/// over the server's registry-backed counters (obs/metrics.h) — the
+/// Cumulative counters of one server (all since construction). A thin
+/// snapshot view over the server's own registry (metrics()) — the
 /// registry is the source of truth, this struct is the stable API.
 struct ShardServerStats {
   uint64_t served = 0;          ///< requests answered (errors included)
@@ -120,9 +112,10 @@ class ShardServer {
 
   ShardServerStats stats() const;
 
-  /// The registry the server's counters live in (the private one unless
-  /// options.metrics was set).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// This server's own counters, all under the fixed "shard." prefix.
+  /// No other instance writes to them; a cluster view is the caller's
+  /// composition of one block per server.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Read-only view of the local index (tests and diagnostics). The
   /// usual read-during-ingest caveats of InvertedIndex apply; prefer
@@ -180,10 +173,8 @@ class ShardServer {
   bool paused_ = false;
   std::vector<std::thread> workers_;
 
-  /// Registry-backed counters (ShardServerStats is their snapshot
-  /// view). owned_metrics_ backs metrics_ when no registry was given.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  /// Registry-backed counters (ShardServerStats is their snapshot view).
+  obs::MetricsRegistry metrics_;
   obs::Counter* c_served_;
   obs::Counter* c_rejected_;
   obs::Counter* c_cancelled_;

@@ -24,24 +24,17 @@ std::string JoinTerms(const std::vector<std::string>& terms) {
 
 Engine::Engine(const index::SearchIndex* index, EngineOptions options)
     : index_(index), options_(options) {
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   tracer_ = options_.tracer != nullptr ? options_.tracer
                                        : obs::DefaultTracer();
-  const std::string& p = options_.metrics_prefix;
-  c_queries_ = metrics_->counter(p + "queries");
-  c_cache_hits_ = metrics_->counter(p + "cache_hits");
-  c_cache_misses_ = metrics_->counter(p + "cache_misses");
-  c_evictions_ = metrics_->counter(p + "evictions");
-  c_invalidations_ = metrics_->counter(p + "invalidations");
-  c_batches_ = metrics_->counter(p + "batches");
-  c_deadline_exceeded_ = metrics_->counter(p + "deadline_exceeded");
-  g_last_invalidation_epoch_ = metrics_->gauge(p + "last_invalidation_epoch");
-  h_latency_ms_ = metrics_->histogram(p + "latency_ms");
+  c_queries_ = metrics_.counter("serve.queries");
+  c_cache_hits_ = metrics_.counter("serve.cache_hits");
+  c_cache_misses_ = metrics_.counter("serve.cache_misses");
+  c_evictions_ = metrics_.counter("serve.evictions");
+  c_invalidations_ = metrics_.counter("serve.invalidations");
+  c_batches_ = metrics_.counter("serve.batches");
+  c_deadline_exceeded_ = metrics_.counter("serve.deadline_exceeded");
+  g_last_invalidation_epoch_ = metrics_.gauge("serve.last_invalidation_epoch");
+  h_latency_ms_ = metrics_.histogram("serve.latency_ms");
 }
 
 std::string Engine::NormalizeQuery(const std::string& query) {
@@ -118,9 +111,8 @@ ServeResult Engine::SearchTraced(const std::string& query, size_t k,
       c_invalidations_->Inc();
       auto& by_source = invalidations_by_source_[ingest_source_];
       if (by_source == nullptr) {
-        by_source = metrics_->counter(options_.metrics_prefix +
-                                      "invalidations.by_source." +
-                                      ingest_source_);
+        by_source = metrics_.counter("serve.invalidations.by_source." +
+                                     ingest_source_);
       }
       by_source->Inc();
       g_last_invalidation_epoch_->Set(static_cast<int64_t>(epoch));

@@ -51,12 +51,6 @@ struct EngineOptions {
   size_t cache_capacity = 4096;
   /// Hits retrieved when Search is called without an explicit k.
   size_t default_top_k = 10;
-  /// Metrics registry the engine's counters live in (obs/metrics.h);
-  /// nullptr = a private registry. Point the engine, coordinator, and
-  /// servers at one shared registry for the one-pane exposition dump.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Name prefix for the engine's metrics ("serve." by default).
-  std::string metrics_prefix = "serve.";
   /// Tracer queries are sampled into (obs/trace.h); nullptr = the
   /// process-global obs::DefaultTracer(), which is inert unless
   /// installed. The engine starts one trace per query and installs it
@@ -65,10 +59,9 @@ struct EngineOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-/// Cumulative serving counters (all since construction). A thin
-/// snapshot view over the engine's registry-backed counters
-/// (obs/metrics.h) — the registry is the source of truth, this struct
-/// is the stable API.
+/// Cumulative serving counters of one engine (all since construction).
+/// A thin snapshot view over the engine's own registry (metrics()) —
+/// the registry is the source of truth, this struct is the stable API.
 struct EngineStats {
   uint64_t queries = 0;        ///< Search calls (batch members included)
   uint64_t cache_hits = 0;     ///< served from the result cache
@@ -169,9 +162,9 @@ class Engine {
   /// Counter snapshot.
   EngineStats stats() const;
 
-  /// The registry the engine's counters live in (the private one unless
-  /// options.metrics was set).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// This engine's own counters, all under the fixed "serve." prefix.
+  /// No other instance writes to them.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// The tracer queries are sampled into.
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -216,8 +209,7 @@ class Engine {
   std::map<std::string, obs::Counter*> invalidations_by_source_;
 
   /// Registry-backed counters (EngineStats is their snapshot view).
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  obs::MetricsRegistry metrics_;
   obs::Tracer* tracer_;
   obs::Counter* c_queries_;
   obs::Counter* c_cache_hits_;

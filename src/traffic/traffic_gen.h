@@ -5,10 +5,10 @@
 //
 //   * The Zipf-repetitive query stream the serving benches share: a pool
 //     of distinct queries drawn from querylog::QueryStream, replayed
-//     with Zipf-distributed popularity. This is the exact generator that
-//     used to live inline in bench_serving and bench_remote — extracted
-//     so every harness replays byte-identical streams (pinned by
-//     traffic_gen_test against the legacy inline algorithm).
+//     with Zipf-distributed popularity. This is the exact generator the
+//     serving benches once each carried inline — extracted so every
+//     harness replays byte-identical streams (pinned by traffic_gen_test
+//     against the legacy inline algorithm).
 //
 //   * Open-loop arrival schedules: Poisson arrivals at a target offered
 //     QPS over a multi-phase schedule (steady states, linear diurnal
@@ -70,7 +70,7 @@ struct ZipfQueryStream {
   std::vector<std::string> queries;
 };
 
-/// Builds the stream bench_serving/bench_remote replay: `distinct` pool
+/// Builds the stream bench_remote replays: `distinct` pool
 /// entries from QueryStream(pool_seed), then `total` draws of
 /// ZipfSampler(distinct, zipf_s) on Rng(draw_seed). Byte-identical to
 /// the legacy inline generator for the same options.

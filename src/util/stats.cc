@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace deepsurf {
 namespace stats {
@@ -114,47 +113,6 @@ double JensenShannonBits(const std::map<std::string, double>& a,
   return 0.5 * KlBits(an, m, 1.0, 1.0) + 0.5 * KlBits(bn, m, 1.0, 1.0);
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  DS_CHECK(hi > lo) << "histogram range empty";
-  DS_CHECK(buckets > 0) << "histogram needs buckets";
-}
-
-void Histogram::Add(double x) {
-  double pos = (x - lo_) / width_;
-  int64_t i = static_cast<int64_t>(std::floor(pos));
-  if (i < 0) i = 0;
-  if (i >= static_cast<int64_t>(counts_.size())) {
-    i = static_cast<int64_t>(counts_.size()) - 1;
-  }
-  ++counts_[static_cast<size_t>(i)];
-  ++total_;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  DS_CHECK(lo_ == other.lo_ && hi_ == other.hi_ &&
-           counts_.size() == other.counts_.size())
-      << "Histogram::Merge requires identical layout";
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string Histogram::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    out += strings::Format("%.2f..%.2f: %llu\n", BucketLow(i),
-                           BucketLow(i) + width_,
-                           static_cast<unsigned long long>(counts_[i]));
-  }
-  return out;
-}
-
 PercentileTracker::PercentileTracker(size_t window) {
   DS_CHECK(window > 0) << "PercentileTracker needs a non-empty window";
   ring_.resize(window);
@@ -173,23 +131,6 @@ double PercentileTracker::Quantile(double q) const {
   std::vector<double> window(ring_.begin(),
                              ring_.begin() + static_cast<long>(size_));
   return Percentile(std::move(window), q * 100.0);
-}
-
-LatencySummary Summarize(const std::vector<double>& xs) {
-  LatencySummary s;
-  if (xs.empty()) return s;
-  s.count = xs.size();
-  s.mean = Mean(xs);
-  s.max = Max(xs);
-  std::vector<double> sorted = xs;
-  std::sort(sorted.begin(), sorted.end());
-  // Percentile() sorts a copy per call; sorting once and reusing keeps
-  // Summarize O(n log n) (Percentile on sorted input re-sorts a no-op).
-  s.p50 = Percentile(sorted, 50.0);
-  s.p90 = Percentile(sorted, 90.0);
-  s.p99 = Percentile(sorted, 99.0);
-  s.p999 = Percentile(sorted, 99.9);
-  return s;
 }
 
 void OpenLoopClock::SleepUntil(double offset_s) const {
@@ -213,26 +154,6 @@ double PhaseLatencies::Quantile(size_t phase, double q) const {
   DS_CHECK(phase < trackers_.size()) << "phase out of range";
   return trackers_[phase].Quantile(q);
 }
-
-uint64_t PhaseLatencies::count(size_t phase) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  DS_CHECK(phase < trackers_.size()) << "phase out of range";
-  return trackers_[phase].total();
-}
-
-void RunningStat::Add(double x) {
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace stats
 }  // namespace deepsurf

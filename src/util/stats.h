@@ -1,9 +1,11 @@
 // Copyright 2026 The deepsurf Authors.
 //
 // Descriptive statistics and distribution utilities used by the
-// experiment harnesses: moments, percentiles, histograms, entropy and
-// Jensen-Shannon divergence (the db-selection detector compares result
-// vocabularies with JSD), and Gini coefficient (long-tail skew summary).
+// experiment harnesses: moments, percentiles, entropy and Jensen-Shannon
+// divergence (the db-selection detector compares result vocabularies
+// with JSD), Gini coefficient (long-tail skew summary), and the
+// sliding-window latency trackers the coordinator and the open-loop
+// traffic harness keep.
 
 #ifndef DEEPSURF_UTIL_STATS_H_
 #define DEEPSURF_UTIL_STATS_H_
@@ -46,39 +48,6 @@ double EntropyBits(const std::vector<double>& counts);
 double JensenShannonBits(const std::map<std::string, double>& a,
                          const std::map<std::string, double>& b);
 
-/// Fixed-width histogram over [lo, hi) with `buckets` bins; values outside
-/// are clamped into the first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-
-  /// Adds another histogram's counts into this one. The two must have
-  /// identical layout (lo, hi, bucket count) — merging per-thread
-  /// histograms into one report is the use case, and per-thread copies
-  /// of one layout is exactly what a harness hands out.
-  void Merge(const Histogram& other);
-
-  /// Count in bucket `i`.
-  uint64_t bucket(size_t i) const { return counts_[i]; }
-  size_t num_buckets() const { return counts_.size(); }
-  uint64_t total() const { return total_; }
-
-  /// Inclusive lower edge of bucket `i`.
-  double BucketLow(size_t i) const;
-
-  /// Renders "lo..hi: count" lines, one per non-empty bucket.
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
-};
-
 /// Sliding-window quantile estimator over the most recent `window`
 /// samples: a fixed-capacity ring buffer, so memory is bounded no matter
 /// how long the process serves. Built for adaptive latency hedging (the
@@ -113,22 +82,6 @@ class PercentileTracker {
   size_t size_ = 0;
   uint64_t total_ = 0;
 };
-
-/// Tail-latency summary of one sample: the serving harness's standard
-/// report row. Percentiles use the same linear-interpolation definition
-/// as Percentile() above.
-struct LatencySummary {
-  uint64_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-  double max = 0.0;
-};
-
-/// Summarizes a latency sample (any unit); the zero struct when empty.
-LatencySummary Summarize(const std::vector<double>& xs);
 
 /// The open-loop arrival clock: pins a load schedule's t = 0 to a wall
 /// instant so worker threads can (a) sleep until an arrival's scheduled
@@ -182,29 +135,9 @@ class PhaseLatencies {
   /// Quantile q in [0, 1] of `phase`'s window (0 when empty).
   double Quantile(size_t phase, double q) const;
 
-  /// Lifetime samples recorded into `phase`.
-  uint64_t count(size_t phase) const;
-
-  size_t num_phases() const { return trackers_.size(); }
-
  private:
   mutable std::mutex mu_;
   std::vector<PercentileTracker> trackers_;
-};
-
-/// Streaming mean/variance (Welford). Used by long-running benches.
-class RunningStat {
- public:
-  void Add(double x);
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 }  // namespace stats

@@ -1,6 +1,7 @@
-// Tests for the observability layer (src/obs/): the unified metrics
-// registry (counters, gauges, latency histograms, snapshot/delta,
-// deterministic exposition), per-query distributed tracing (sampling,
+// Tests for the observability layer (src/obs/): the metrics registry
+// (counters, gauges, latency histograms, snapshot/delta, deterministic
+// exposition, one registry per serving instance), per-query
+// distributed tracing (sampling,
 // the over-SLO commit rule, the slow-query log, tree completeness), the
 // optional trace/timing tails of the wire frames (old frames stay
 // decodable, untraced frames stay byte-identical), and the acceptance
@@ -82,10 +83,8 @@ TEST(RegistryTest, GoldenTextDump) {
   reg.counter("coord.rpcs")->Inc(3);
   reg.gauge("shard.queue_depth")->Set(2);
   reg.histogram("serve.latency_ms", {1.0, 10.0})->Observe(0.5);
-  reg.AddCallback("net.requests", [] { return uint64_t{7}; });
   const std::string want =
       "coord.rpcs 3\n"
-      "net.requests 7\n"
       "shard.queue_depth 2\n"
       "serve.latency_ms{le=\"1\"} 1\n"
       "serve.latency_ms{le=\"10\"} 0\n"
@@ -95,18 +94,6 @@ TEST(RegistryTest, GoldenTextDump) {
   EXPECT_EQ(reg.TextDump(), want);
   // Determinism: identical state => identical bytes.
   EXPECT_EQ(reg.TextDump(), reg.TextDump());
-}
-
-TEST(RegistryTest, JsonDumpRoundTripsStructure) {
-  MetricsRegistry reg;
-  reg.counter("a.count")->Inc();
-  reg.gauge("b.level")->Set(-3);
-  reg.histogram("c_ms", {5.0})->Observe(2.0);
-  std::string json = reg.JsonDump();
-  EXPECT_NE(json.find("\"a.count\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"b.level\": -3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"bounds_ms\""), std::string::npos) << json;
-  EXPECT_EQ(json, reg.JsonDump());
 }
 
 TEST(RegistryTest, SnapshotDeltaIsWindowActivity) {
@@ -452,11 +439,9 @@ TEST(ObsIntegrationTest, HedgedRemoteQueryProducesCompleteSpanTree) {
   topts.sample_every = 1;  // trace every query
   Tracer tracer(topts);
 
-  MetricsRegistry registry;  // one shared pane for both layers
   remote::CoordinatorOptions copts;
   copts.hedge_min_ms = 0.2;
   copts.hedge_max_ms = 1.0;  // well under the slow replica's delay
-  copts.metrics = &registry;
   copts.tracer = &tracer;
   remote::Coordinator coordinator(&flaky, copts);
   ASSERT_TRUE(coordinator.InsertBatch(docs).ok());
@@ -468,7 +453,6 @@ TEST(ObsIntegrationTest, HedgedRemoteQueryProducesCompleteSpanTree) {
 
   serve::EngineOptions eopts;
   eopts.cache_capacity = 0;  // every query reaches the coordinator
-  eopts.metrics = &registry;
   eopts.tracer = &tracer;
   serve::Engine engine(&coordinator, eopts);
 
@@ -543,12 +527,83 @@ TEST(ObsIntegrationTest, HedgedRemoteQueryProducesCompleteSpanTree) {
   EXPECT_NE(TagValue(*score, "blocks_decoded"), "");
   EXPECT_NE(TagValue(*score, "blocks_skipped"), "");
 
-  // The hedge is visible in the one-pane metrics too.
-  MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_GT(snap.counters.at("coord.hedges"), 0u);
-  EXPECT_GT(snap.counters.at("coord.rpcs"), 0u);
-  EXPECT_EQ(snap.counters.at("serve.queries"), 40u);
-  EXPECT_GT(snap.histograms.at("serve.latency_ms").total, 0u);
+  // The hedge is visible in the instances' metrics too.
+  MetricsSnapshot coord_snap = coordinator.metrics().Snapshot();
+  EXPECT_GT(coord_snap.counters.at("coord.hedges"), 0u);
+  EXPECT_GT(coord_snap.counters.at("coord.rpcs"), 0u);
+  MetricsSnapshot serve_snap = engine.metrics().Snapshot();
+  EXPECT_EQ(serve_snap.counters.at("serve.queries"), 40u);
+  EXPECT_GT(serve_snap.histograms.at("serve.latency_ms").total, 0u);
+}
+
+// Per-instance truth: each serving component owns its registry, so two
+// instances of one kind running side by side never see each other's
+// work — neither in stats() nor in metrics().
+TEST(ObsIntegrationTest, EveryInstanceCountsOnlyItsOwnWork) {
+  synthweb::CorpusOptions web;
+  web.num_deep_sites = 5;
+  web.num_surface_sites = 2;
+  web.min_rows = 15;
+  web.max_rows = 40;
+  web.seed = 77;
+  auto corpus = synthweb::BuildCorpus(web);
+  auto docs = synthweb::EntityDocuments(corpus);
+  querylog::QueryStreamOptions qopts;
+  qopts.seed = 2026;
+  querylog::QueryStream stream(&corpus, qopts);
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 40; ++i) queries.push_back(stream.Next().text);
+
+  // Two coordinators over separate 2x2 fabrics, each with one slow
+  // replica per shard; only one of them may hedge.
+  remote::LoopbackTransport loopback_off(2, 2, {});
+  remote::FlakyTransport flaky_off(&loopback_off, {});
+  remote::LoopbackTransport loopback_on(2, 2, {});
+  remote::FlakyTransport flaky_on(&loopback_on, {});
+  remote::CoordinatorOptions off_opts;
+  off_opts.hedging = false;
+  remote::CoordinatorOptions on_opts;
+  on_opts.hedge_min_ms = 0.2;
+  on_opts.hedge_max_ms = 1.0;  // well under the slow replica's delay
+  remote::Coordinator off(&flaky_off, off_opts);
+  remote::Coordinator on(&flaky_on, on_opts);
+  ASSERT_TRUE(off.InsertBatch(docs).ok());
+  ASSERT_TRUE(on.InsertBatch(docs).ok());
+  for (size_t s = 0; s < 2; ++s) {
+    flaky_off.SetReplicaDelay(s, 0, 8.0);
+    flaky_on.SetReplicaDelay(s, 0, 8.0);
+  }
+  for (const auto& q : queries) {
+    off.Search(q, 10);
+    on.Search(q, 10);
+  }
+
+  const remote::CoordinatorStats off_stats = off.stats();
+  const MetricsSnapshot off_snap = off.metrics().Snapshot();
+  EXPECT_EQ(off_stats.hedges, 0u);
+  EXPECT_EQ(off_stats.hedge_wins, 0u);
+  EXPECT_EQ(off_snap.counters.at("coord.hedges"), 0u);
+  EXPECT_EQ(off_snap.counters.at("coord.hedge_wins"), 0u);
+  EXPECT_EQ(off_snap.counters.at("coord.searches"), queries.size());
+
+  const remote::CoordinatorStats on_stats = on.stats();
+  const MetricsSnapshot on_snap = on.metrics().Snapshot();
+  EXPECT_GT(on_stats.hedges, 0u)
+      << "40 queries against a slow replica must hedge at least once";
+  EXPECT_GT(on_snap.counters.at("coord.hedges"), 0u);
+  EXPECT_EQ(on_snap.counters.at("coord.searches"), queries.size());
+
+  // Two engines over one index serve different loads.
+  index::InvertedIndex idx;
+  ASSERT_TRUE(idx.InsertBatch(docs).ok());
+  serve::Engine ten(&idx);
+  serve::Engine three(&idx);
+  for (size_t i = 0; i < 10; ++i) ten.Search(queries[i], 10);
+  for (size_t i = 0; i < 3; ++i) three.Search(queries[i], 10);
+  EXPECT_EQ(ten.stats().queries, 10u);
+  EXPECT_EQ(three.stats().queries, 3u);
+  EXPECT_EQ(ten.metrics().Snapshot().counters.at("serve.queries"), 10u);
+  EXPECT_EQ(three.metrics().Snapshot().counters.at("serve.queries"), 3u);
 }
 
 TEST(ObsIntegrationTest, TracingOffCostsNoTraces) {

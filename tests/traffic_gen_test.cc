@@ -36,9 +36,9 @@ synthweb::WebCorpus SmallCorpus() {
 }
 
 // The pin: BuildZipfQueryStream must replay, byte for byte, the
-// generator that used to live inline in bench_serving/bench_remote.
-// This is what lets those benches share the extracted library without
-// their historical traffic changing underneath them.
+// generator the serving benches once each carried inline. This is what
+// lets the benches share the extracted library without their historical
+// traffic changing underneath them.
 TEST(ZipfQueryStreamTest, ByteIdenticalToLegacyInlineGenerator) {
   auto corpus = SmallCorpus();
   constexpr size_t kDistinct = 120;

@@ -82,60 +82,6 @@ TEST(JensenShannonTest, SymmetricAndBounded) {
   EXPECT_LT(pq, 1.0);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0, 10, 5);
-  h.Add(0.5);   // bucket 0
-  h.Add(9.5);   // bucket 4
-  h.Add(-3);    // clamped to 0
-  h.Add(42);    // clamped to 4
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 2.0);
-}
-
-TEST(HistogramTest, MergeAddsCountsElementwise) {
-  Histogram a(0, 10, 5);
-  Histogram b(0, 10, 5);
-  a.Add(0.5);
-  a.Add(9.5);
-  b.Add(0.5);
-  b.Add(4.5);
-  b.Add(42);  // clamped into the top bucket
-  a.Merge(b);
-  EXPECT_EQ(a.bucket(0), 2u);
-  EXPECT_EQ(a.bucket(2), 1u);
-  EXPECT_EQ(a.bucket(4), 2u);
-  EXPECT_EQ(a.total(), 5u);
-  // The source is unchanged.
-  EXPECT_EQ(b.total(), 3u);
-}
-
-TEST(HistogramTest, MergeEmptyIsIdentity) {
-  Histogram a(0, 10, 5);
-  a.Add(3.0);
-  Histogram empty(0, 10, 5);
-  a.Merge(empty);
-  EXPECT_EQ(a.total(), 1u);
-  EXPECT_EQ(a.bucket(1), 1u);
-}
-
-TEST(RunningStatTest, MatchesBatchStatistics) {
-  RunningStat rs;
-  std::vector<double> xs = {2, 4, 4, 4, 5, 5, 7, 9};
-  for (double x : xs) rs.Add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), Mean(xs), 1e-9);
-  EXPECT_NEAR(rs.stddev(), StdDev(xs), 1e-9);
-}
-
-TEST(RunningStatTest, EmptyIsZero) {
-  RunningStat rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
 TEST(PercentileTrackerTest, EmptyIsZero) {
   PercentileTracker t(16);
   EXPECT_EQ(t.size(), 0u);
