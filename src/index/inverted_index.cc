@@ -77,8 +77,14 @@ inline uint8_t QuantizeWeight(float w, float block_max) {
 }
 
 /// Deep-k fallback factor of the exhaustive-vs-maxscore routing (see
-/// IndexOptions::pruning_min_postings).
-constexpr size_t kPruningKFallback = 24;
+/// IndexOptions::pruning_min_postings): a query goes to the exhaustive
+/// scan when k * resolved terms * this factor reaches its candidate pool.
+constexpr size_t kPruningKFallback = 1024;
+
+/// Below this many resolved query terms the exhaustive scan is used
+/// whatever the pool: maxscore over one list has no non-essential list
+/// to skip, and its cursor machinery loses to the scan's flat walk.
+constexpr size_t kPruningMinTerms = 2;
 
 /// Decodes sealed block `b` of a compressed list into `out` (room for
 /// `block_size` ids); its gaps chain from the previous block's last doc
@@ -98,26 +104,17 @@ void DecodeSealedBlock(const PL& pl, size_t b, size_t block_size,
       << "corrupt sealed posting block";
 }
 
-/// Streams every posting of a list, in order, into fn(posting_index,
-/// doc_id), decoding sealed blocks one at a time (only compressed lists
-/// have `packed` bytes). The caller resolves weights from the posting
-/// index — it knows whether position j's exact float lives in the
-/// weight array or (quantized mode) in the forward index.
-template <typename PL, typename Fn>
-void ForEachPosting(const PL& pl, size_t block_size, Fn&& fn) {
-  if (!pl.packed.empty()) {
-    std::vector<DocId> buf(block_size);
-    const size_t nblocks = pl.blocks.size();
-    for (size_t b = 0; b < nblocks; ++b) {
-      DecodeSealedBlock(pl, b, block_size, buf.data());
-      for (size_t j = 0; j < block_size; ++j) fn(b * block_size + j, buf[j]);
-    }
-    const size_t sealed = nblocks * block_size;
-    for (size_t j = 0; j < pl.docs.size(); ++j) fn(sealed + j, pl.docs[j]);
-  } else {
-    for (size_t j = 0; j < pl.count; ++j) fn(j, pl.docs[j]);
-  }
-}
+/// Per-thread working memory of the exhaustive scan, reused by every
+/// query the thread runs on any index. `acc` covers the largest index
+/// the thread has searched and is all zeros between queries (a query
+/// zeroes exactly the entries it touched); `touched` lists the
+/// documents the current query scored; `block` receives the sealed-block
+/// decodes SealedBlockIds does not pin.
+struct ExhaustiveScratch {
+  std::vector<double> acc;
+  std::vector<DocId> touched;
+  std::vector<DocId> block;
+};
 
 }  // namespace
 
@@ -576,94 +573,100 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
 
   // Pruning cannot help when k covers everything that could match, and
   // does not pay below a postings volume where the exhaustive scan is
-  // already cheap. On top of those, the adaptive deep-k fallback: the
-  // top-k threshold only rises high enough to prune when k is a small
-  // fraction of the candidate pool, so for deep k on small pools the
-  // exhaustive scan wins (see kPruningKFallback). The exhaustive scorer
-  // doubles as the explicit fallback — results are byte-identical either
-  // way, so this whole decision is unobservable in the output.
+  // already cheap, nor on a single list (see kPruningMinTerms). On top
+  // of those, the adaptive deep-k fallback: the top-k threshold only
+  // rises high enough to prune when k is a small fraction of the
+  // candidate pool, so for deep k on small pools the exhaustive scan
+  // wins (see kPruningKFallback). The exhaustive scorer doubles as the
+  // explicit fallback — results are byte-identical either way, so this
+  // whole decision is unobservable in the output.
   bool prune =
       options_.enable_pruning && k < docs_.size() && k < total_postings;
   if (prune && options_.pruning_min_postings > 0) {
-    if (total_postings < options_.pruning_min_postings) {
-      prune = false;
-    } else {
-      const size_t pool = std::min(total_postings, docs_.size());
-      if (k * query.size() * kPruningKFallback >= pool) {
-        prune = false;
-      }
-    }
+    const size_t pool = std::min(total_postings, docs_.size());
+    prune = query.size() >= kPruningMinTerms &&
+            total_postings >= options_.pruning_min_postings &&
+            k * query.size() * kPruningKFallback < pool;
   }
-  if (!prune) {
-    return SearchExhaustive(query, norms, total_postings, k);
-  }
+  if (!prune) return SearchExhaustive(query, norms, k);
   return SearchMaxScore(query, norms, min_norm, k);
 }
 
 std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     const std::vector<QueryTerm>& query, const NormView& norms,
-    size_t total_postings, size_t k) const {
+    size_t k) const {
   const double k1 = options_.bm25_k1;
+  const bool compressed = options_.compress_postings;
   const bool quantized = options_.quantize_weights;
   const size_t block = options_.posting_block_size;
-  std::vector<SearchHit> hits;
-
-  // Exact float weight of posting j (holding doc d) of qt's list: the
-  // weight array, unless quantization moved the sealed span to 8-bit
-  // caps — then the forward index holds the exact value (the same
-  // float AppendPostingLocked stored, so identical bits).
-  auto exact_weight = [&](const QueryTerm& qt, size_t j, DocId d) -> double {
-    const PostingList& pl = *qt.postings;
-    const size_t sealed = pl.blocks.size() * block;
-    if (quantized && j < sealed) {
-      return static_cast<double>(ForwardWeight(qt.tid, d));
-    }
-    return static_cast<double>(pl.weights[quantized ? j - sealed : j]);
-  };
+  thread_local ExhaustiveScratch scratch;
+  if (scratch.acc.size() < docs_.size()) scratch.acc.resize(docs_.size());
+  double* const acc = scratch.acc.data();
+  std::vector<DocId>& touched = scratch.touched;
 
   // Accumulate per document, terms in query order (the addition sequence
   // is part of the byte-identity contract). Contributions are strictly
-  // positive, so 0 doubles as the "untouched" sentinel in the flat
-  // accumulator. A sparse map accumulator is used when the query touches
-  // far fewer documents than the corpus holds — same additions in the
-  // same per-document order, so identical score bits either way.
-  if (docs_.size() > 4096 && total_postings * 16 < docs_.size()) {
-    std::unordered_map<DocId, double> acc;
-    acc.reserve(total_postings);
-    for (const QueryTerm& qt : query) {
-      ForEachPosting(*qt.postings, block, [&](size_t j, DocId d) {
-        acc[d] += Contribution(qt.idf, exact_weight(qt, j, d), norms.Of(d),
-                               k1);
-      });
-    }
-    hits.reserve(acc.size());
-    for (const auto& [d, score] : acc) hits.push_back(SearchHit{d, score});
-  } else {
-    std::vector<double> acc(docs_.size(), 0.0);
-    std::vector<DocId> touched;
-    touched.reserve(total_postings);
-    for (const QueryTerm& qt : query) {
-      ForEachPosting(*qt.postings, block, [&](size_t j, DocId d) {
+  // positive, so 0 doubles as the "untouched" sentinel.
+  uint64_t decoded = 0;
+  uint64_t cache_hits = 0;
+  for (const QueryTerm& qt : query) {
+    const PostingList& pl = *qt.postings;
+    // Scores ids[0, n) with their exact float weights `w` — or, where
+    // quantization moved a sealed span to 8-bit caps (`w` null), with
+    // the forward index's copy (the same float AppendPostingLocked
+    // stored, so identical bits).
+    auto add = [&](const DocId* ids, size_t n, const float* w) {
+      for (size_t i = 0; i < n; ++i) {
+        const DocId d = ids[i];
+        const double weight = w != nullptr ? static_cast<double>(w[i])
+                                           : static_cast<double>(
+                                                 ForwardWeight(qt.tid, d));
         if (acc[d] == 0.0) touched.push_back(d);
-        acc[d] += Contribution(qt.idf, exact_weight(qt, j, d), norms.Of(d),
-                               k1);
-      });
+        acc[d] += Contribution(qt.idf, weight, norms.Of(d), k1);
+      }
+    };
+    // Sealed blocks, then the raw tail. A compressed block is read
+    // through the pinned-decode slots, as maxscore's cursors read it.
+    const size_t nblocks = pl.blocks.size();
+    const size_t sealed = nblocks * block;
+    for (size_t b = 0; b < nblocks; ++b) {
+      const DocId* ids = nullptr;
+      bool hit = false;
+      if (compressed) {
+        ids = SealedBlockIds(pl, static_cast<uint32_t>(b), &scratch.block,
+                             &hit);
+      } else {
+        ids = pl.docs.data() + b * block;
+      }
+      hit ? ++cache_hits : ++decoded;
+      add(ids, block, quantized ? nullptr : pl.weights.data() + b * block);
     }
-    hits.reserve(touched.size());
-    for (DocId d : touched) hits.push_back(SearchHit{d, acc[d]});
+    add(pl.docs.data() + (compressed ? 0 : sealed), pl.count - sealed,
+        pl.weights.data() + (quantized ? 0 : sealed));
   }
-  uint64_t dec = 0;
-  for (const QueryTerm& qt : query) dec += qt.postings->blocks.size();
-  stat_blocks_decoded_.fetch_add(dec, std::memory_order_relaxed);
+  stat_blocks_decoded_.fetch_add(decoded, std::memory_order_relaxed);
+  stat_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
 
-  if (hits.size() > k) {
-    std::partial_sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(k),
-                      hits.end(), Better);
-    hits.resize(k);
-  } else {
-    std::sort(hits.begin(), hits.end(), Better);
+  // Bounded top-k selection: a min-heap under the ranking order whose
+  // front is the weakest kept hit. Each touched entry is zeroed as it is
+  // read, which leaves the accumulator clean for the thread's next query.
+  std::vector<SearchHit> heap;
+  heap.reserve(std::min(k, touched.size()));
+  for (DocId d : touched) {
+    const SearchHit hit{d, acc[d]};
+    acc[d] = 0.0;
+    if (heap.size() < k) {
+      heap.push_back(hit);
+      std::push_heap(heap.begin(), heap.end(), Better);
+    } else if (Better(hit, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), Better);
+      heap.back() = hit;
+      std::push_heap(heap.begin(), heap.end(), Better);
+    }
   }
-  return hits;
+  touched.clear();
+  std::sort_heap(heap.begin(), heap.end(), Better);
+  return heap;
 }
 
 std::vector<SearchHit> InvertedIndex::SearchMaxScore(

@@ -87,15 +87,16 @@ struct IndexOptions {
   bool enable_pruning = true;
   /// Below this many candidate postings per query, the exhaustive scan
   /// is cheaper than maxscore's cursor machinery and is used even with
-  /// pruning enabled (tiny corpora, rare-term-only queries). Above it a
-  /// fixed deep-k fallback still picks the exhaustive scan when
-  /// k * resolved query terms * 24 >= min(candidate postings, corpus
-  /// size): maxscore only pays once the top-k threshold rises well above
-  /// a typical candidate's score, which cannot happen when k is a
-  /// sizable fraction of that pool, and its per-candidate cursor
-  /// overhead grows with the number of query terms. 0 forces maxscore
-  /// whenever pruning is on, bypassing the fallback too (tests use this
-  /// to pin the pruned path).
+  /// pruning enabled (tiny corpora, rare-term-only queries). Above it
+  /// two fixed rules still pick the exhaustive scan: a query with a
+  /// single resolved term (maxscore has no non-essential list to skip
+  /// there), and the deep-k fallback, when k * resolved query terms *
+  /// 1024 >= min(candidate postings, corpus size): maxscore only pays
+  /// once the top-k threshold rises well above a typical candidate's
+  /// score, which needs a pool that dwarfs k, and its per-candidate
+  /// cursor overhead grows with the number of query terms. 0 forces
+  /// maxscore whenever pruning is on, bypassing both rules too (tests
+  /// use this to pin the pruned path).
   size_t pruning_min_postings = 4096;
   /// Postings per sealed block: the granularity of the per-block skip
   /// entries that drive block-max pruning, and the unit of bit-packed
@@ -447,9 +448,16 @@ class InvertedIndex : public WritableIndex {
   double ScoreDocExact(const std::vector<QueryTerm>& query,
                        const NormView& norms, DocId d) const;
 
+  /// Term-at-a-time scan of every posting of every query term into a
+  /// flat per-document accumulator, then a bounded top-k heap. The
+  /// accumulator, its touched-id list and a block decode buffer are
+  /// per-thread scratch reused across queries and indexes: 8 B x the
+  /// documents of the largest index each thread has searched, plus 4 B
+  /// per document one query touched. Sealed compressed blocks are read
+  /// through SealedBlockIds like every cursor read, so a read is a cache
+  /// hit or a decode exactly as it would be for maxscore.
   std::vector<SearchHit> SearchExhaustive(const std::vector<QueryTerm>& query,
                                           const NormView& norms,
-                                          size_t total_postings,
                                           size_t k) const;
   /// Block-max maxscore. `min_norm` is the smallest length norm in the
   /// corpus (the bound floor both the list-level and the per-block
@@ -464,9 +472,9 @@ class InvertedIndex : public WritableIndex {
   /// decoded now — into a freshly pinned buffer while the decode-cache
   /// budget lasts, into `*scratch` (resized as needed, valid until the
   /// caller's next decode) once it is spent — or always, with
-  /// decode_cache_bytes == 0 (no slots exist then). Every cursor and
-  /// warm-up read of a sealed block comes here. Requires
-  /// compress_postings.
+  /// decode_cache_bytes == 0 (no slots exist then). Every cursor,
+  /// warm-up and exhaustive-scan read of a sealed block comes here.
+  /// Requires compress_postings.
   const DocId* SealedBlockIds(const PostingList& pl, uint32_t b,
                               std::vector<DocId>* scratch, bool* hit) const;
 

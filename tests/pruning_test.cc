@@ -486,10 +486,14 @@ TEST(PruningEdgeCases, DecodeAccountingIsIndependentOfTheDecodeBudget) {
   // read is a decode or a cache hit, never how many blocks a query reads
   // or skips. Budgets: none (every read decodes to scratch), 256 bytes
   // (four blocks of 16, spent mid-query), and the default.
-  auto docs = RandomDocs(53, 2000);
+  auto docs = RandomDocs(53, 5000);
   auto queries = RandomQueries(54, 40);
-  // Head-term queries carry enough candidate postings that default
-  // routing (pruning_min_postings 4096) runs maxscore on them too.
+  // Head-term queries carry enough candidate postings, over a corpus
+  // big enough, that default routing (pruning_min_postings 4096,
+  // deep-k factor 1024: maxscore needs a pool above k x terms x 1024)
+  // runs maxscore on them at k = 1. At k = 10 and 100, and for single-
+  // term queries, it runs the exhaustive scan, whose block reads
+  // through the same slots obey the same identity.
   const auto& words = synthweb::EnglishWords();
   for (size_t i = 0; i < 12; ++i) {
     queries.push_back({words[i], words[(i + 3) % 12], words[(i + 7) % 12],
@@ -523,6 +527,46 @@ TEST(PruningEdgeCases, DecodeAccountingIsIndependentOfTheDecodeBudget) {
           << label;
     }
   }
+}
+
+TEST(PruningEdgeCases, ExhaustiveScanReadsThroughThePinnedSlots) {
+  // The exhaustive scan reads each sealed block of each resolved list
+  // exactly once, through the same pinned-decode slots as maxscore's
+  // cursors: a block maxscore pinned is a cache hit, any other block is
+  // decoded (and pinned while the budget lasts), so the scan's second
+  // run over the same lists decodes nothing.
+  auto docs = RandomDocs(61, 5000);
+  IndexOptions opts;
+  opts.compress_postings = true;
+  opts.posting_block_size = 16;
+  InvertedIndex idx(opts);
+  ASSERT_TRUE(idx.InsertBatch(docs).ok());
+  const auto& words = synthweb::EnglishWords();
+  const std::vector<std::string> terms = {words[0], words[3], words[7],
+                                          words[20]};
+  uint64_t sealed = 0;
+  for (const auto& t : terms) sealed += idx.DocFrequency(t) / 16;
+
+  // Three head terms at k = 1: default routing runs maxscore, which
+  // skips blocks and pins the ones it reads.
+  (void)idx.SearchTerms(terms, 1);
+  const SearchStats warm = idx.search_stats();
+  ASSERT_GT(warm.blocks_skipped, 0u);
+  ASSERT_GT(idx.MemoryUsage().decode_cache_bytes, 0u);
+
+  // k = the corpus size: the same terms go to the exhaustive scan.
+  (void)idx.SearchTerms(terms, idx.num_docs());
+  const SearchStats first = idx.search_stats();
+  EXPECT_GT(first.decode_cache_hits - warm.decode_cache_hits, 0u);
+  EXPECT_EQ(first.decode_cache_hits - warm.decode_cache_hits +
+                first.blocks_decoded - warm.blocks_decoded,
+            sealed);
+  EXPECT_EQ(first.blocks_skipped, warm.blocks_skipped);
+
+  (void)idx.SearchTerms(terms, idx.num_docs());
+  const SearchStats second = idx.search_stats();
+  EXPECT_EQ(second.decode_cache_hits - first.decode_cache_hits, sealed);
+  EXPECT_EQ(second.blocks_decoded, first.blocks_decoded);
 }
 
 TEST(PruningEdgeCases, TermInterningIsDense) {
