@@ -1,13 +1,17 @@
 // M1 — substrate micro-benchmark: HTML tokenize / parse / extract
-// throughput on synthetic result pages of realistic sizes.
+// throughput on synthetic result pages of realistic sizes, plus the two
+// layers a probe page passes through next: the text analyzer and the
+// prober's page reduction, with and without a vocabulary read.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "core/prober.h"
 #include "html/forms.h"
 #include "html/parser.h"
 #include "html/text.h"
 #include "html/tokenizer.h"
+#include "index/analyzer.h"
 
 namespace deepsurf {
 namespace {
@@ -74,6 +78,41 @@ void BM_ExtractTables(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtractTables);
+
+void BM_ContentTokens(benchmark::State& state) {
+  auto dom = html::Parse(MakePage(static_cast<size_t>(state.range(0))));
+  std::string text = html::ExtractText(*dom);
+  for (auto _ : state) {
+    auto tokens = index::ContentTokens(text);
+    benchmark::DoNotOptimize(tokens);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ContentTokens)->Arg(10)->Arg(50)->Arg(200);
+
+/// One probe page's reduction (parse, record extraction, hashes). With
+/// vocab=1 it also derives both vocabulary views, as keyword mining and
+/// db-selection detection do on the probes they read.
+void BM_ReducePage(benchmark::State& state) {
+  std::string page = MakePage(static_cast<size_t>(state.range(0)));
+  const bool read_vocabulary = state.range(1) != 0;
+  for (auto _ : state) {
+    auto reduced = core::ReducePage(200, page);
+    if (read_vocabulary) {
+      auto tf = reduced.TermFrequencies();
+      auto rdf = reduced.RecordDocumentFrequencies();
+      benchmark::DoNotOptimize(tf);
+      benchmark::DoNotOptimize(rdf);
+    }
+    benchmark::DoNotOptimize(reduced);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_ReducePage)
+    ->ArgNames({"records", "vocab"})
+    ->ArgsProduct({{10, 50, 200}, {0, 1}});
 
 }  // namespace
 }  // namespace deepsurf

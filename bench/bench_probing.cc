@@ -99,7 +99,7 @@ int Run() {
     auto default_page = iterative_prober.Probe(cfg.context);
     if (default_page.ok()) {
       std::vector<std::pair<double, std::string>> flipped;
-      for (const auto& [term, tf] : default_page->term_frequencies) {
+      for (const auto& [term, tf] : default_page->TermFrequencies()) {
         flipped.emplace_back(tf, term);
       }
       std::sort(flipped.rbegin(), flipped.rend());

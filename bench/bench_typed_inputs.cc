@@ -111,7 +111,7 @@ int Run() {
     auto default_page = prober.Probe({});
     if (default_page.ok() && default_page->HasResults()) {
       std::vector<std::pair<double, std::string>> flipped;
-      for (auto& [term, tf] : default_page->term_frequencies) {
+      for (const auto& [term, tf] : default_page->TermFrequencies()) {
         flipped.emplace_back(tf, term);
       }
       std::sort(flipped.rbegin(), flipped.rend());

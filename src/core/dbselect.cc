@@ -43,7 +43,7 @@ Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
           2.0, options.domain_term_fraction *
                    static_cast<double>(result->record_count));
       std::map<std::string, double> domain_vocab;
-      for (const auto& [term, rdf] : result->record_document_frequencies) {
+      for (const auto& [term, rdf] : result->RecordDocumentFrequencies()) {
         if (rdf >= min_records) domain_vocab[term] = rdf;
       }
       if (!domain_vocab.empty()) {
@@ -88,7 +88,7 @@ Result<DbSelectVerdict> MineDbSelector(
     auto option_page = prober->Probe({{select_input, option}});
     if (option_page.ok() && option_page->HasResults()) {
       std::vector<std::pair<double, std::string>> ranked;
-      for (const auto& [term, tf] : option_page->term_frequencies) {
+      for (const auto& [term, tf] : option_page->TermFrequencies()) {
         if (strings::IsDigits(term)) continue;
         ranked.emplace_back(tf, term);
       }

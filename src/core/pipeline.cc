@@ -70,7 +70,7 @@ Result<FormAnalysisContext> AnalyzeInputs(
     auto default_page = ctx.prober->Probe({});
     if (default_page.ok() && default_page->HasResults()) {
       std::vector<std::pair<double, std::string>> ranked;
-      for (const auto& [term, tf] : default_page->term_frequencies) {
+      for (const auto& [term, tf] : default_page->TermFrequencies()) {
         ranked.emplace_back(tf, term);
       }
       std::sort(ranked.begin(), ranked.end(),

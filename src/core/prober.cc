@@ -1,7 +1,6 @@
 #include "core/prober.h"
 
 #include <algorithm>
-#include <set>
 
 #include "extract/record_extractor.h"
 #include "html/parser.h"
@@ -10,6 +9,26 @@
 
 namespace deepsurf {
 namespace core {
+
+std::map<std::string, double> ProbeResult::TermFrequencies() const {
+  std::map<std::string, double> tf;
+  for (const auto& text : record_texts) {
+    for (auto& term : index::ContentTokens(text)) tf[std::move(term)] += 1.0;
+  }
+  return tf;
+}
+
+std::map<std::string, double> ProbeResult::RecordDocumentFrequencies() const {
+  std::map<std::string, double> rdf;
+  for (const auto& text : record_texts) {
+    // Each record counts a term once.
+    std::vector<std::string> terms = index::ContentTokens(text);
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    for (auto& term : terms) rdf[std::move(term)] += 1.0;
+  }
+  return rdf;
+}
 
 ProbeResult ReducePage(int status_code, const std::string& body) {
   ProbeResult out;
@@ -22,27 +41,18 @@ ProbeResult ReducePage(int status_code, const std::string& body) {
   // sort-permuted page has the same signature — presentation inputs thus
   // test as uninformative.
   std::vector<uint64_t> hashes;
-  std::string region_text;
+  hashes.reserve(extraction.records.size());
+  out.record_texts.reserve(extraction.records.size());
   for (const auto& rec : extraction.records) {
     std::string joined = rec.Joined();
     hashes.push_back(Fnv1a64(joined));
-    region_text += joined;
-    region_text.push_back('\n');
-    // Per-record distinct terms feed the record-document frequencies.
-    std::set<std::string> record_terms;
-    for (auto& tok : index::ContentTokens(joined)) {
-      record_terms.insert(std::move(tok));
-    }
-    for (const auto& term : record_terms) {
-      out.record_document_frequencies[term] += 1.0;
-    }
+    out.record_texts.push_back(std::move(joined));
   }
   std::sort(hashes.begin(), hashes.end());
   uint64_t sig = 0x9e3779b97f4a7c15ULL;
   for (uint64_t h : hashes) sig = HashCombine(sig, h);
   out.signature = sig;
   out.record_hashes = std::move(hashes);
-  out.term_frequencies = index::TermFrequencies(region_text);
   return out;
 }
 
@@ -75,9 +85,9 @@ Result<ProbeResult> FormProber::Probe(const Bindings& bindings) {
   ++fetches_;
   auto resp = scheduler_->Fetch(url);
   if (!resp.ok()) return resp.status();
-  ProbeResult result = ReducePage(resp->status_code, resp->body);
-  cache_[key] = result;
-  return result;
+  return cache_
+      .emplace(std::move(key), ReducePage(resp->status_code, resp->body))
+      .first->second;
 }
 
 }  // namespace core

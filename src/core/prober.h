@@ -2,9 +2,11 @@
 //
 // The form prober: executes prospective submissions during offline
 // analysis, caches responses, and reduces each result page to the
-// features the algorithms need — a content signature (for distinctness
-// tests), a record count (via repeated-structure extraction), and the
-// page's term vocabulary (for keyword mining and db-selection detection).
+// features the algorithms need. Every probe gets a content signature
+// (for distinctness tests), a record count (via repeated-structure
+// extraction) and per-record hashes; most probes need nothing more. The
+// page's term vocabulary (for keyword mining and db-selection detection)
+// is derived from the kept record texts only when a reader asks for it.
 // Every fetch is counted: analysis load is one of the paper's claims.
 
 #ifndef DEEPSURF_CORE_PROBER_H_
@@ -14,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/form_model.h"
 #include "net/fetcher.h"
@@ -31,18 +34,25 @@ struct ProbeResult {
   uint64_t signature = 0;
   /// Number of records detected on the page (0 for "no results" pages).
   size_t record_count = 0;
-  /// Record-region text term frequencies (for vocabulary mining).
-  std::map<std::string, double> term_frequencies;
-  /// Number of records (on this page) containing each term. Terms that
-  /// repeat across records are column-domain vocabulary — what the
-  /// db-selection detector compares — while terms unique to one record
-  /// are record-specific prose.
-  std::map<std::string, double> record_document_frequencies;
   /// Per-record content hashes, order-independent (for coverage and
   /// distinctness accounting at record granularity).
   std::vector<uint64_t> record_hashes;
+  /// Each record's joined text, in page order: the source of the
+  /// vocabulary views below.
+  std::vector<std::string> record_texts;
 
   bool HasResults() const { return status_code == 200 && record_count > 0; }
+
+  /// Content-term counts over all records (for vocabulary mining).
+  /// Tokenizes every record on each call.
+  std::map<std::string, double> TermFrequencies() const;
+
+  /// Number of records (on this page) containing each content term.
+  /// Terms that repeat across records are column-domain vocabulary —
+  /// what the db-selection detector compares — while terms unique to one
+  /// record are record-specific prose. Tokenizes every record on each
+  /// call.
+  std::map<std::string, double> RecordDocumentFrequencies() const;
 };
 
 /// Probe executor with per-form caching and budget accounting. All probe

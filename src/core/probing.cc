@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "index/analyzer.h"
 #include "util/strings.h"
 
 namespace deepsurf {
@@ -63,8 +62,9 @@ Result<ProbingResult> IterativeProbe(
     // keyword-probing literature ([1, 13]).
     if (result->HasResults()) {
       ++result_pages_seen;
-      for (const auto& [term, rdf] : result->record_document_frequencies) {
-        if (index::IsStopWord(term)) continue;
+      // Record-document frequencies are over content tokens: stop words
+      // never reach the pool.
+      for (const auto& [term, rdf] : result->RecordDocumentFrequencies()) {
         if (term == kw) continue;
         // Digit-only tokens (years, ids, date fragments) make poor
         // keywords: they match numeric columns incidentally and carry

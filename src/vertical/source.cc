@@ -88,7 +88,7 @@ Result<Source> RegisterSource(net::SimulatedWeb* web,
       if (v.empty()) continue;
       auto probe = prober.Probe({{m.input_name, v}});
       if (probe.ok() && probe->HasResults()) {
-        for (const auto& [term, tf] : probe->term_frequencies) {
+        for (const auto& [term, tf] : probe->TermFrequencies()) {
           source.content_summary[term] += tf;
         }
         ++sampled;
@@ -100,7 +100,7 @@ Result<Source> RegisterSource(net::SimulatedWeb* web,
     // Fall back to the unconstrained submission.
     auto probe = prober.Probe({});
     if (probe.ok() && probe->HasResults()) {
-      for (const auto& [term, tf] : probe->term_frequencies) {
+      for (const auto& [term, tf] : probe->TermFrequencies()) {
         source.content_summary[term] += tf;
       }
     }

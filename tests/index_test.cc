@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "index/analyzer.h"
 #include "index/inverted_index.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace deepsurf {
 namespace index {
@@ -24,14 +29,9 @@ TEST(AnalyzerTest, TokenizeLowercasesAndSplits) {
 }
 
 TEST(AnalyzerTest, ShortAndLongTokensDropped) {
-  auto tokens = Tokenize("a ab " + std::string(41, 'x'));
-  EXPECT_EQ(tokens, (std::vector<std::string>{"ab"}));
-}
-
-TEST(AnalyzerTest, StopWords) {
-  EXPECT_TRUE(IsStopWord("the"));
-  EXPECT_TRUE(IsStopWord("and"));
-  EXPECT_FALSE(IsStopWord("honda"));
+  auto tokens =
+      Tokenize("a ab " + std::string(41, 'x') + " " + std::string(40, 'Y'));
+  EXPECT_EQ(tokens, (std::vector<std::string>{"ab", std::string(40, 'y')}));
 }
 
 TEST(AnalyzerTest, ContentTokensDropStopWords) {
@@ -39,11 +39,156 @@ TEST(AnalyzerTest, ContentTokensDropStopWords) {
             (std::vector<std::string>{"quick", "fox", "dog"}));
 }
 
-TEST(AnalyzerTest, TermFrequencies) {
-  auto tf = TermFrequencies("car car truck the the the");
-  EXPECT_DOUBLE_EQ(tf["car"], 2.0);
-  EXPECT_DOUBLE_EQ(tf["truck"], 1.0);
-  EXPECT_EQ(tf.count("the"), 0u);
+// The analyzer as it stood before its one-pass rewrite: locale <cctype>
+// classification, one appended char at a time, and a std::set of stop
+// words. The fuzz cases below hold the rewrite to it byte for byte.
+namespace reference {
+
+std::vector<std::string> Tokenize(std::string_view text) {
+  std::vector<std::string> out;
+  std::string current;
+  for (char c : text) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      current.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    } else if (!current.empty()) {
+      if (current.size() >= 2 && current.size() <= 40) {
+        out.push_back(current);
+      }
+      current.clear();
+    }
+  }
+  if (current.size() >= 2 && current.size() <= 40) out.push_back(current);
+  return out;
+}
+
+const std::set<std::string, std::less<>>& StopWords() {
+  static const std::set<std::string, std::less<>> kStopWords = {
+      "a",    "an",   "and",  "are",   "as",    "at",    "be",   "been",
+      "but",  "by",   "can",  "do",    "for",   "from",  "had",  "has",
+      "have", "he",   "her",  "his",   "if",    "in",    "into", "is",
+      "it",   "its",  "may",  "more",  "most",  "no",    "not",  "of",
+      "on",   "or",   "our",  "she",   "so",    "than",  "that", "the",
+      "their","them", "then", "there", "these", "they",  "this", "to",
+      "was",  "we",   "were", "what",  "when",  "which", "who",  "will",
+      "with", "would","you",  "your",  "all",   "also",  "any",  "each",
+      "how",  "new",  "now",  "one",   "only",  "other", "out",  "per",
+      "some", "such", "up",   "us",    "use",   "very",  "via",
+  };
+  return kStopWords;
+}
+
+bool IsStopWord(std::string_view token) {
+  return StopWords().count(token) > 0;
+}
+
+std::vector<std::string> ContentTokens(std::string_view text) {
+  std::vector<std::string> out;
+  for (auto& tok : Tokenize(text)) {
+    if (!IsStopWord(tok)) out.push_back(std::move(tok));
+  }
+  return out;
+}
+
+}  // namespace reference
+
+/// A random alphanumeric run of `len` characters, mixed case.
+std::string AlnumRun(Rng* rng, size_t len) {
+  static constexpr char kAlnum[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  std::string out;
+  for (size_t i = 0; i < len; ++i) {
+    out.push_back(kAlnum[rng->Uniform(sizeof(kAlnum) - 1)]);
+  }
+  return out;
+}
+
+/// Random analyzer input: arbitrary bytes (>= 0x80 and NUL included),
+/// alphanumeric runs at and around both length limits, and stop words
+/// in random case, joined by random separators.
+std::string RandomAnalyzerText(Rng* rng) {
+  static constexpr size_t kRunLengths[] = {1, 2, 3, 5, 6, 39, 40, 41, 80};
+  const auto& stop_words = reference::StopWords();
+  std::string out;
+  size_t pieces = rng->Uniform(24);
+  for (size_t i = 0; i < pieces; ++i) {
+    switch (rng->Uniform(5)) {
+      case 0:
+        for (size_t n = rng->Uniform(4) + 1; n > 0; --n) {
+          out.push_back(static_cast<char>(rng->Uniform(256)));
+        }
+        break;
+      case 1:
+        for (size_t n = rng->Uniform(3) + 1; n > 0; --n) {
+          out.push_back(static_cast<char>(0x80 + rng->Uniform(128)));
+        }
+        break;
+      case 2:
+        out += AlnumRun(rng, kRunLengths[rng->Uniform(std::size(kRunLengths))]);
+        break;
+      case 3: {
+        auto it = stop_words.begin();
+        std::advance(it, rng->Uniform(stop_words.size()));
+        std::string word = *it;
+        for (char& c : word) {
+          if (rng->Bernoulli(0.3)) c = static_cast<char>(c - 'a' + 'A');
+        }
+        out += word;
+        break;
+      }
+      default: {
+        static constexpr char kSeparators[] = " ,.-\n\t'/";
+        out.push_back(kSeparators[rng->Uniform(sizeof(kSeparators) - 1)]);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+class AnalyzerFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AnalyzerFuzzTest, MatchesReferenceAnalyzer) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 2000; ++round) {
+    std::string text = RandomAnalyzerText(&rng);
+    auto tokens = reference::Tokenize(text);
+    ASSERT_EQ(Tokenize(text), tokens) << "input: " << text;
+    ASSERT_EQ(ContentTokens(text), reference::ContentTokens(text))
+        << "input: " << text;
+    for (const auto& tok : tokens) {
+      ASSERT_EQ(IsStopWord(tok), reference::IsStopWord(tok)) << tok;
+    }
+    // Raw (unfolded, possibly non-alphanumeric) text as a token.
+    ASSERT_EQ(IsStopWord(text), reference::IsStopWord(text)) << text;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzerFuzzTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+TEST(AnalyzerTest, StopWords) {
+  EXPECT_FALSE(IsStopWord("honda"));
+  size_t stop_words = 0;
+  for (const auto& word : reference::StopWords()) {
+    EXPECT_TRUE(IsStopWord(word)) << word;
+    ++stop_words;
+    // Near misses: one letter more or less, at either end, and the
+    // word in upper case.
+    std::string upper = word;
+    for (char& c : upper) c = static_cast<char>(c - 'a' + 'A');
+    for (const std::string& miss :
+         {word + "s", "x" + word, word.substr(1),
+          word.substr(0, word.size() - 1), upper}) {
+      EXPECT_EQ(IsStopWord(miss), reference::IsStopWord(miss)) << miss;
+    }
+  }
+  EXPECT_EQ(stop_words, 79u);
+  for (const char* miss : {"thes", "theirs", "wh", "th", "yours", "ours",
+                           "vias", "whic", "abc", "zzzzz", "", "The"}) {
+    EXPECT_FALSE(IsStopWord(miss)) << miss;
+    EXPECT_FALSE(reference::IsStopWord(miss)) << miss;
+  }
 }
 
 class IndexTest : public ::testing::Test {

@@ -14,6 +14,7 @@
 #include "index/inverted_index.h"
 #include "net/fetcher.h"
 #include "synthweb/corpus.h"
+#include "util/hash.h"
 
 namespace deepsurf {
 namespace crawler {
@@ -88,6 +89,33 @@ TEST(SurfacingDriverTest, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(single.stats.urls_generated, eight.stats.urls_generated);
   EXPECT_EQ(single.stats.forms_analyzed, eight.stats.forms_analyzed);
   EXPECT_EQ(single.stats.analysis_probes, eight.stats.analysis_probes);
+}
+
+TEST(SurfacingDriverTest, SurfacedOutputIsPinned) {
+  // Recorded while ReducePage still built every probe's vocabulary
+  // eagerly. The fixture has no seed index, so each form's context words
+  // and keyword seeds come from its default page's term frequencies: a
+  // change to the probe vocabulary's keys, counts or order moves these.
+  constexpr size_t kUrls = 126;
+  constexpr uint64_t kUrlDigest = 0x15538a2d3af63b36ULL;
+  constexpr size_t kAnalysisProbes = 1111;
+  constexpr size_t kUrlsGenerated = 126;
+  constexpr size_t kPagesIndexed = 126;
+  auto f = MakeCorpus();
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    auto run = RunDriver(f, threads, 99);
+    std::string joined;
+    for (const auto& url : run.url_set) {
+      joined += url;
+      joined.push_back('\n');
+    }
+    EXPECT_EQ(run.url_set.size(), kUrls);
+    EXPECT_EQ(Fnv1a64(joined), kUrlDigest);
+    EXPECT_EQ(run.stats.analysis_probes, kAnalysisProbes);
+    EXPECT_EQ(run.stats.urls_generated, kUrlsGenerated);
+    EXPECT_EQ(run.stats.pages_indexed, kPagesIndexed);
+  }
 }
 
 TEST(SurfacingDriverTest, SameSeedSameResultDifferentSeedSameUrls) {
