@@ -1,12 +1,14 @@
 // M1 — substrate micro-benchmark: HTML tokenize / parse / extract
-// throughput on synthetic result pages of realistic sizes, plus the two
-// layers a probe page passes through next: the text analyzer and the
-// prober's page reduction, with and without a vocabulary read.
+// throughput on synthetic result pages of realistic sizes, plus the
+// layers a probe page passes through next: record extraction from the
+// parsed page, the text analyzer and the prober's page reduction, with
+// and without a vocabulary read.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "core/prober.h"
+#include "extract/record_extractor.h"
 #include "html/forms.h"
 #include "html/parser.h"
 #include "html/text.h"
@@ -45,6 +47,17 @@ void BM_Parse(benchmark::State& state) {
                           static_cast<int64_t>(page.size()));
 }
 BENCHMARK(BM_Parse)->Arg(10)->Arg(50)->Arg(200);
+
+/// Record extraction alone, on an already-parsed page: the part of a
+/// probe page's reduction that follows BM_Parse.
+void BM_ExtractRecords(benchmark::State& state) {
+  auto dom = html::Parse(MakePage(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto records = extract::ExtractRecords(*dom);
+    benchmark::DoNotOptimize(records);
+  }
+}
+BENCHMARK(BM_ExtractRecords)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_ExtractForms(benchmark::State& state) {
   auto f = bench::MakeFixture(synthweb::Domain::kUsedCars, 7, 100);

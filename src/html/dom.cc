@@ -1,39 +1,122 @@
 #include "html/dom.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cstring>
 
 namespace deepsurf {
 namespace html {
 
-std::unique_ptr<Node> Node::Element(std::string tag,
-                                    std::vector<Attribute> attrs) {
-  auto n = std::unique_ptr<Node>(new Node());
-  n->tag_ = std::move(tag);
-  n->attrs_ = std::move(attrs);
+/// Chunked storage for one document's nodes, attributes and strings.
+/// Chunks never move, so pointers and views into them stay valid until
+/// the root is destroyed.
+class Node::Arena {
+ public:
+  template <typename T>
+  class Pool {
+   public:
+    explicit Pool(size_t first_chunk)
+        : chunk_size_(std::max<size_t>(first_chunk, 1)) {}
+
+    /// `count` contiguous default-constructed elements.
+    T* Take(size_t count) {
+      if (count > left_) {
+        chunk_size_ = std::max(chunk_size_, count);
+        chunks_.push_back(std::unique_ptr<T[]>(new T[chunk_size_]));
+        next_ = chunks_.back().get();
+        left_ = chunk_size_;
+        chunk_size_ *= 2;
+      }
+      T* out = next_;
+      next_ += count;
+      left_ -= count;
+      return out;
+    }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    T* next_ = nullptr;
+    size_t left_ = 0;
+    size_t chunk_size_;
+  };
+
+  /// A page's stored strings are disjoint spans of it, never lengthened,
+  /// so one chunk of `source_bytes` holds them all.
+  explicit Arena(size_t source_bytes)
+      : chars(source_bytes), nodes(64), attributes(32) {}
+
+  std::string_view Store(std::string_view s) {
+    if (s.empty()) return {};
+    char* out = chars.Take(s.size());
+    std::memcpy(out, s.data(), s.size());
+    return std::string_view(out, s.size());
+  }
+
+  Pool<char> chars;
+  Pool<Node> nodes;
+  Pool<AttributeView> attributes;
+  size_t next_position = 1;  // the root is 0
+};
+
+Node::Node() = default;
+Node::~Node() = default;
+
+std::unique_ptr<Node> Node::NewDocument(size_t source_bytes) {
+  std::unique_ptr<Node> root(new Node());
+  root->tag_ = "#document";
+  root->arena_ = std::make_unique<Arena>(source_bytes);
+  return root;
+}
+
+Node* Node::NewElement(std::string_view tag, const AttributeView* attributes,
+                       size_t count) {
+  Node* n = arena_->nodes.Take(1);
+  n->position_ = arena_->next_position++;
+  n->tag_ = arena_->Store(tag);
+  if (count > 0) {
+    AttributeView* attrs = arena_->attributes.Take(count);
+    for (size_t i = 0; i < count; ++i) {
+      attrs[i].name = arena_->Store(attributes[i].name);
+      attrs[i].value = arena_->Store(attributes[i].value);
+      attrs[i].has_value = attributes[i].has_value;
+    }
+    n->attrs_ = attrs;
+    n->num_attrs_ = count;
+  }
   return n;
 }
 
-std::unique_ptr<Node> Node::Text(std::string text) {
-  auto n = std::unique_ptr<Node>(new Node());
-  n->text_ = std::move(text);
+Node* Node::NewText(std::string_view text) {
+  Node* n = arena_->nodes.Take(1);
+  n->position_ = arena_->next_position++;
+  n->text_ = arena_->Store(text);
   return n;
 }
 
-Node* Node::AppendChild(std::unique_ptr<Node> child) {
+void Node::AppendChild(Node* child) {
   child->parent_ = this;
-  children_.push_back(std::move(child));
-  return children_.back().get();
+  if (last_child_ == nullptr) {
+    first_child_ = child;
+  } else {
+    last_child_->next_sibling_ = child;
+  }
+  last_child_ = child;
 }
 
-std::string Node::GetAttr(std::string_view name) const {
-  for (const auto& a : attrs_) {
+size_t Node::SubtreeSize() const {
+  const Node* last = this;
+  while (last->last_child_ != nullptr) last = last->last_child_;
+  return last->position_ - position_ + 1;
+}
+
+std::string_view Node::GetAttr(std::string_view name) const {
+  for (const auto& a : attributes()) {
     if (a.name == name) return a.value;
   }
-  return "";
+  return {};
 }
 
 bool Node::HasAttr(std::string_view name) const {
-  for (const auto& a : attrs_) {
+  for (const auto& a : attributes()) {
     if (a.name == name) return true;
   }
   return false;
@@ -42,44 +125,39 @@ bool Node::HasAttr(std::string_view name) const {
 namespace {
 void CollectDescendants(const Node* node, std::string_view tag,
                         std::vector<const Node*>* out) {
-  for (const auto& child : node->children()) {
+  for (const Node* child : node->children()) {
     if (child->is_element()) {
-      if (tag.empty() || child->tag() == tag) out->push_back(child.get());
-      CollectDescendants(child.get(), tag, out);
+      if (tag.empty() || child->tag() == tag) out->push_back(child);
+      CollectDescendants(child, tag, out);
     }
   }
 }
 
-void CollectText(const Node* node, std::string* out) {
-  if (node->is_element() &&
-      (node->tag() == "script" || node->tag() == "style")) {
-    return;
-  }
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Appends the node's text with whitespace runs collapsed to one space;
+/// `in_space` is true after whitespace (or at the start), so a run that
+/// spans text nodes still yields one space.
+void AppendCollapsedText(const Node* node, std::string* out, bool* in_space) {
   if (node->is_text()) {
-    out->append(node->text());
-    out->push_back(' ');
+    for (char c : node->text()) {
+      if (IsSpace(c)) {
+        if (!*in_space) out->push_back(' ');
+        *in_space = true;
+      } else {
+        out->push_back(c);
+        *in_space = false;
+      }
+    }
+    // Each text node ends a word.
+    if (!*in_space) out->push_back(' ');
+    *in_space = true;
     return;
   }
-  for (const auto& child : node->children()) {
-    CollectText(child.get(), out);
+  if (node->tag() == "script" || node->tag() == "style") return;
+  for (const Node* child : node->children()) {
+    AppendCollapsedText(child, out, in_space);
   }
-}
-
-std::string CollapseWhitespace(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  bool in_space = true;  // drop leading space
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out.push_back(' ');
-      in_space = true;
-    } else {
-      out.push_back(c);
-      in_space = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
 }
 }  // namespace
 
@@ -90,9 +168,9 @@ std::vector<const Node*> Node::Descendants(std::string_view tag) const {
 }
 
 const Node* Node::FirstDescendant(std::string_view tag) const {
-  for (const auto& child : children_) {
+  for (const Node* child : children()) {
     if (child->is_element()) {
-      if (tag.empty() || child->tag() == tag) return child.get();
+      if (tag.empty() || child->tag() == tag) return child;
       if (const Node* found = child->FirstDescendant(tag)) return found;
     }
   }
@@ -100,18 +178,17 @@ const Node* Node::FirstDescendant(std::string_view tag) const {
 }
 
 std::string Node::InnerText() const {
-  std::string raw;
-  CollectText(this, &raw);
-  return CollapseWhitespace(raw);
+  std::string out;
+  bool in_space = true;  // drop leading space
+  AppendCollapsedText(this, &out, &in_space);
+  if (!out.empty() && out.back() == ' ') out.pop_back();
+  return out;
 }
 
 std::string Node::TagPath() const {
   std::vector<std::string_view> parts;
-  const Node* n = this;
-  while (n != nullptr) {
-    parts.push_back(n->is_element() ? std::string_view(n->tag_)
-                                    : std::string_view("#text"));
-    n = n->parent_;
+  for (const Node* n = this; n != nullptr; n = n->parent_) {
+    parts.push_back(n->is_element() ? n->tag_ : std::string_view("#text"));
   }
   std::string out;
   for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
@@ -131,7 +208,7 @@ const Node* Node::Ancestor(std::string_view tag) const {
 size_t Node::ElementCount() const {
   if (is_text()) return 0;
   size_t count = 1;
-  for (const auto& child : children_) count += child->ElementCount();
+  for (const Node* child : children()) count += child->ElementCount();
   return count;
 }
 

@@ -67,10 +67,26 @@ FieldKind ClassifyInput(const Node& input) {
 std::map<std::string, std::string> CollectForLabels(const Node& root) {
   std::map<std::string, std::string> out;
   for (const Node* label : root.Descendants("label")) {
-    std::string target = label->GetAttr("for");
-    if (!target.empty()) out[target] = label->InnerText();
+    std::string_view target = label->GetAttr("for");
+    if (!target.empty()) out[std::string(target)] = label->InnerText();
   }
   return out;
+}
+
+/// Walks `node`'s subtree in document order up to `control`, keeping the
+/// last non-blank text seen in `last`. Returns true once it reaches
+/// `control`.
+bool TextBefore(const Node* node, const Node* control, std::string* last) {
+  if (node == control) return true;
+  if (node->is_text()) {
+    auto trimmed = strings::Trim(node->text());
+    if (!trimmed.empty()) *last = std::string(trimmed);
+    return false;
+  }
+  for (const Node* child : node->children()) {
+    if (TextBefore(child, control, last)) return true;
+  }
+  return false;
 }
 
 /// Nearest preceding text within the control's table row or parent block —
@@ -79,34 +95,8 @@ std::string PrecedingText(const Node* control) {
   const Node* scope = control->Ancestor("tr");
   if (scope == nullptr) scope = control->parent();
   if (scope == nullptr) return "";
-  // Walk the scope's subtree in order; remember the last text seen before
-  // reaching the control.
   std::string last;
-  bool found = false;
-  std::vector<const Node*> stack_nodes;
-  // Simple explicit DFS preserving document order.
-  std::vector<const Node*> order;
-  std::vector<const Node*> work{scope};
-  while (!work.empty()) {
-    const Node* n = work.back();
-    work.pop_back();
-    order.push_back(n);
-    const auto& ch = n->children();
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it) {
-      work.push_back(it->get());
-    }
-  }
-  for (const Node* n : order) {
-    if (n == control) {
-      found = true;
-      break;
-    }
-    if (n->is_text()) {
-      auto trimmed = strings::Trim(n->text());
-      if (!trimmed.empty()) last = std::string(trimmed);
-    }
-  }
-  if (!found) return "";
+  if (!TextBefore(scope, control, &last)) return "";
   // Strip a trailing ':' from "Label:" conventions.
   while (!last.empty() && (last.back() == ':' || last.back() == ' ')) {
     last.pop_back();
@@ -116,7 +106,7 @@ std::string PrecedingText(const Node* control) {
 
 std::string LabelFor(const Node* control,
                      const std::map<std::string, std::string>& for_labels) {
-  std::string id = control->GetAttr("id");
+  std::string id(control->GetAttr("id"));
   if (!id.empty()) {
     auto it = for_labels.find(id);
     if (it != for_labels.end()) return it->second;
@@ -153,7 +143,7 @@ std::vector<Form> ExtractForms(const Node& root) {
       if (el->tag() == "input") {
         FieldKind kind = ClassifyInput(*el);
         if (kind == FieldKind::kRadio) {
-          std::string name = el->GetAttr("name");
+          std::string name(el->GetAttr("name"));
           auto it = radio_index.find(name);
           if (it != radio_index.end()) {
             add_option_to_radio(el, &form.fields[it->second]);
@@ -185,8 +175,9 @@ std::vector<Form> ExtractForms(const Node& root) {
         for (const Node* opt_el : el->Descendants("option")) {
           FieldOption opt;
           opt.label = opt_el->InnerText();
-          opt.value = opt_el->HasAttr("value") ? opt_el->GetAttr("value")
-                                               : opt.label;
+          opt.value = opt_el->HasAttr("value")
+                          ? opt_el->GetAttr("value")
+                          : std::string_view(opt.label);
           opt.selected = opt_el->HasAttr("selected");
           field.options.push_back(std::move(opt));
         }

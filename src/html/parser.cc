@@ -39,49 +39,32 @@ bool ImpliedClose(std::string_view open, std::string_view incoming) {
   return false;
 }
 
-class TreeBuilder {
+}  // namespace
+
+/// The scanner's sink that builds the tree as tokens arrive; comments and
+/// doctypes are not materialized.
+class TreeBuilder final : public TokenSink {
  public:
-  std::unique_ptr<Node> Build(std::string_view htmlsrc) {
-    root_ = Node::Element("#document", {});
-    stack_.clear();
-    stack_.push_back(root_.get());
-    for (auto& tok : Tokenize(htmlsrc)) {
-      switch (tok.kind) {
-        case TokenKind::kStartTag:
-          HandleStartTag(std::move(tok));
-          break;
-        case TokenKind::kEndTag:
-          HandleEndTag(tok.name);
-          break;
-        case TokenKind::kText:
-          if (!tok.text.empty()) {
-            Top()->AppendChild(Node::Text(std::move(tok.text)));
-          }
-          break;
-        case TokenKind::kComment:
-        case TokenKind::kDoctype:
-          break;  // not materialized
-      }
-    }
-    return std::move(root_);
+  std::unique_ptr<Node> Build(std::string_view html) {
+    std::unique_ptr<Node> root = Node::NewDocument(html.size());
+    root_ = root.get();
+    stack_.assign(1, root_);
+    Scan(html, this);
+    return root;
   }
 
- private:
-  Node* Top() { return stack_.back(); }
-
-  void HandleStartTag(Token tok) {
+  void StartTag(std::string_view name, const AttributeView* attributes,
+                size_t count, bool self_closing) override {
     // Apply implied closes while the innermost element demands one.
-    while (stack_.size() > 1 && ImpliedClose(Top()->tag(), tok.name)) {
+    while (stack_.size() > 1 && ImpliedClose(stack_.back()->tag(), name)) {
       stack_.pop_back();
     }
-    Node* el = Top()->AppendChild(
-        Node::Element(std::move(tok.name), std::move(tok.attributes)));
-    if (!tok.self_closing && !IsVoidElement(el->tag())) {
-      stack_.push_back(el);
-    }
+    Node* el = root_->NewElement(name, attributes, count);
+    stack_.back()->AppendChild(el);
+    if (!self_closing && !IsVoidElement(name)) stack_.push_back(el);
   }
 
-  void HandleEndTag(const std::string& name) {
+  void EndTag(std::string_view name) override {
     // Find the matching open element; drop the end tag when none exists.
     for (size_t i = stack_.size(); i > 1; --i) {
       if (stack_[i - 1]->tag() == name) {
@@ -91,11 +74,14 @@ class TreeBuilder {
     }
   }
 
-  std::unique_ptr<Node> root_;
+  void Text(std::string_view text) override {
+    stack_.back()->AppendChild(root_->NewText(text));
+  }
+
+ private:
+  Node* root_ = nullptr;
   std::vector<Node*> stack_;
 };
-
-}  // namespace
 
 std::unique_ptr<Node> Parse(std::string_view html) {
   return TreeBuilder().Build(html);

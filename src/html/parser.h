@@ -14,7 +14,9 @@
 namespace deepsurf {
 namespace html {
 
-/// Parses a document into a DOM rooted at a synthetic "#document" element.
+/// Parses a document into a DOM rooted at a synthetic "#document" element,
+/// in one pass of the scanner (html/tokenizer.h). The root owns every
+/// node and string of the document; `html` need not outlive the call.
 /// Never fails: unclosed elements are closed at EOF, stray end tags are
 /// dropped, void elements (input, br, img, ...) never take children, and
 /// the usual implied closes (a new <li> closes the open <li>, <option>

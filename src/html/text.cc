@@ -12,9 +12,9 @@ std::string ExtractText(const Node& root) { return root.InnerText(); }
 std::vector<Link> ExtractLinks(const Node& root) {
   std::vector<Link> out;
   for (const Node* a : root.Descendants("a")) {
-    std::string href = a->GetAttr("href");
+    std::string_view href = a->GetAttr("href");
     if (href.empty()) continue;
-    out.push_back(Link{std::move(href), a->InnerText()});
+    out.push_back(Link{std::string(href), a->InnerText()});
   }
   return out;
 }
@@ -27,7 +27,7 @@ std::string ExtractTitle(const Node& root) {
 std::string ExtractScriptText(const Node& root) {
   std::string out;
   for (const Node* script : root.Descendants("script")) {
-    for (const auto& child : script->children()) {
+    for (const Node* child : script->children()) {
       if (child->is_text()) {
         out += child->text();
         out.push_back('\n');
@@ -63,8 +63,7 @@ std::vector<ExtractedTable> ExtractTables(const Node& root) {
       std::vector<std::string> cells;
       bool all_th = true;
       bool any_cell = false;
-      for (const auto& child_owner : tr->children()) {
-        const Node* cell = child_owner.get();
+      for (const Node* cell : tr->children()) {
         if (!cell->is_element()) continue;
         if (cell->tag() != "td" && cell->tag() != "th") continue;
         any_cell = true;

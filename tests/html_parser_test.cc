@@ -1,8 +1,12 @@
 // Tests for DOM construction (tree builder + Node helpers).
 
+#include <chrono>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "html/parser.h"
+#include "html/text.h"
 
 namespace deepsurf {
 namespace html {
@@ -136,6 +140,56 @@ TEST(ParserTest, DlDtDdImpliedCloses) {
   auto root = Parse("<dl><dt>k1<dd>v1<dt>k2<dd>v2</dl>");
   EXPECT_EQ(root->Descendants("dt").size(), 2u);
   EXPECT_EQ(root->Descendants("dd").size(), 2u);
+}
+
+TEST(ParserTest, UnfinishedMarkupAtEndOfPageParsesInLinearTime) {
+  // Each unit opens a construct that only the end of the page stops; a
+  // rescan from every '<' made these quadratic.
+  for (std::string unit : {"</a", "<!x", "<a x=1 "}) {
+    std::string page;
+    while (page.size() < 256 * 1024) page += unit;
+    auto start = std::chrono::steady_clock::now();
+    auto root = Parse(page);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    EXPECT_LT(seconds, 1.0) << unit;
+    ASSERT_EQ(root->SubtreeSize(), 2u) << unit;
+    const Node* text = *root->children().begin();
+    EXPECT_TRUE(text->is_text());
+    EXPECT_EQ(text->text(), page);
+  }
+}
+
+TEST(ParserTest, RawTextCloseTagsMatchAnyCase) {
+  auto root = Parse(
+      "<TITLE>Cars</TITLE><SCRIPT>var b = \"<b>\";</SCRIPT>"
+      "<Style>p{}</STYLE><TextArea>t</TEXTAREA>"
+      "<a href=\"/x\">link</a>");
+  EXPECT_EQ(ExtractTitle(*root), "Cars");
+  auto links = ExtractLinks(*root);
+  ASSERT_EQ(links.size(), 1u);
+  EXPECT_EQ(links[0].href, "/x");
+  EXPECT_EQ(links[0].anchor, "link");
+  EXPECT_EQ(ExtractText(*root), "Cars t link");
+  EXPECT_EQ(ExtractScriptText(*root), "var b = \"<b>\";\n");
+}
+
+TEST(ParserTest, PositionsArePreOrder) {
+  auto root = Parse("<div><p>a</p>b<p>c</p></div>d");
+  EXPECT_EQ(root->position(), 0u);
+  EXPECT_EQ(root->SubtreeSize(), 8u);
+  std::vector<size_t> seen;
+  std::vector<const Node*> work{root.get()};
+  while (!work.empty()) {
+    const Node* n = work.back();
+    work.pop_back();
+    seen.push_back(n->position());
+    std::vector<const Node*> kids(n->children().begin(), n->children().end());
+    work.insert(work.end(), kids.rbegin(), kids.rend());
+  }
+  EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(root->FirstDescendant("div")->SubtreeSize(), 6u);
 }
 
 }  // namespace

@@ -147,6 +147,49 @@ TEST(TokenizerTest, EmptyInput) {
   EXPECT_TRUE(Tok("").empty());
 }
 
+TEST(TokenizerTest, ConstructReachingEndOfPageMakesTheRestText) {
+  // Each of these fails only because the page ends; what follows the
+  // failed construct stays text too (a "<a" at the very end would
+  // otherwise open an element).
+  for (std::string page :
+       {"t </a <a", "t <!x <a", "t <a x=1 ", "t <a ", "<", "x<"}) {
+    auto tokens = Tok(page);
+    ASSERT_EQ(tokens.size(), 1u) << page;
+    EXPECT_EQ(tokens[0].kind, TokenKind::kText);
+    EXPECT_EQ(tokens[0].text, page);
+  }
+  // Constructs that run to the end and succeed are unchanged.
+  auto tokens = Tok("<a x=\"1");
+  ASSERT_EQ(tokens.size(), 1u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kStartTag);
+  EXPECT_EQ(tokens[0].FindAttribute("x")->value, "1");
+  tokens = Tok("a<!-- open");
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[1].kind, TokenKind::kComment);
+}
+
+TEST(TokenizerTest, RepeatedUnfinishedConstructIsOneTextToken) {
+  for (std::string unit : {"</a", "<!x", "<a x=1 "}) {
+    std::string page;
+    while (page.size() < 16 * 1024) page += unit;
+    auto tokens = Tok(page);
+    ASSERT_EQ(tokens.size(), 1u) << unit;
+    EXPECT_EQ(tokens[0].kind, TokenKind::kText);
+    EXPECT_EQ(tokens[0].text, page);
+  }
+}
+
+TEST(TokenizerTest, RawTextCloseTagMatchesAnyCase) {
+  auto tokens = Tok("<TITLE>Cars</TITLE><SCRIPT>a</Script ><p>x</p>");
+  ASSERT_EQ(tokens.size(), 9u);
+  EXPECT_EQ(tokens[1].text, "Cars");
+  EXPECT_EQ(tokens[2].kind, TokenKind::kEndTag);
+  EXPECT_EQ(tokens[2].name, "title");
+  EXPECT_EQ(tokens[4].text, "a");
+  EXPECT_EQ(tokens[5].name, "script");
+  EXPECT_EQ(tokens[6].name, "p");
+}
+
 }  // namespace
 }  // namespace html
 }  // namespace deepsurf
