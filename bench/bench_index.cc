@@ -8,8 +8,8 @@
 // trajectory is comparable across PRs, and verifies six gates as it
 // measures:
 //
-//   1. equivalence — pruned, compressed (bit-packed), and quantized
-//      all byte-identical to exhaustive on every query;
+//   1. equivalence — pruned and compressed (bit-packed) both
+//      byte-identical to exhaustive on every query;
 //   2. codec identity — the bit-packed path returns the same bytes
 //      whether the scalar or the SIMD kernel decodes it (scalar ≡
 //      SIMD), checked by re-running the sweep under a forced-scalar
@@ -257,7 +257,7 @@ struct MemRow {
 struct CorpusRow {
   size_t docs = 0;
   double ingest_dps = 0;
-  MemRow mem_raw, mem_compressed, mem_quantized;
+  MemRow mem_raw, mem_compressed;
   std::vector<QueryRow> queries;
 };
 
@@ -270,7 +270,6 @@ struct Verdict {
   bool compressed_not_slower = true;
   bool pruned_13x_qlen8_k1 = false;
   double compression_ratio = 0;
-  double quant_weight_ratio = 0;
   double pruned_vs_exhaustive_qlen8_k1 = 0;
   bool pass() const {
     return all_equivalent && codec_identity && no_pruning_regression &&
@@ -317,13 +316,10 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
                  "\"compressed_doc_bytes_per_posting\": %s, "
                  "\"doc_bytes_ratio\": %s, "
                  "\"raw_weight_bytes_per_posting\": %s, "
-                 "\"quantized_weight_bytes_per_posting\": %s, "
                  "\"raw_bytes_per_posting\": %s, "
                  "\"compressed_bytes_per_posting\": %s, "
-                 "\"quantized_bytes_per_posting\": %s, "
                  "\"raw_total_mb\": %s, "
-                 "\"compressed_total_mb\": %s, "
-                 "\"quantized_total_mb\": %s, \"num_postings\": %llu},\n"
+                 "\"compressed_total_mb\": %s, \"num_postings\": %llu},\n"
                  "     \"queries\": [\n",
                  r.docs, JsonEscapeNumber(r.ingest_dps).c_str(),
                  JsonEscapeNumber(r.mem_raw.doc_bytes_per_posting).c_str(),
@@ -333,14 +329,10 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
                                   r.mem_compressed.doc_bytes_per_posting)
                      .c_str(),
                  JsonEscapeNumber(r.mem_raw.weight_bytes_per_posting).c_str(),
-                 JsonEscapeNumber(
-                     r.mem_quantized.weight_bytes_per_posting).c_str(),
                  JsonEscapeNumber(r.mem_raw.bytes_per_posting).c_str(),
                  JsonEscapeNumber(r.mem_compressed.bytes_per_posting).c_str(),
-                 JsonEscapeNumber(r.mem_quantized.bytes_per_posting).c_str(),
                  JsonEscapeNumber(r.mem_raw.total_mb).c_str(),
                  JsonEscapeNumber(r.mem_compressed.total_mb).c_str(),
-                 JsonEscapeNumber(r.mem_quantized.total_mb).c_str(),
                  static_cast<unsigned long long>(r.mem_raw.num_postings));
     for (size_t j = 0; j < r.queries.size(); ++j) {
       const auto& q = r.queries[j];
@@ -373,7 +365,6 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
       "\"compressed_not_slower_at_largest_corpus\": %s, "
       "\"pruned_ge_1_3x_exhaustive_qlen8_k1\": %s, "
       "\"compression_doc_bytes_ratio_at_largest_corpus\": %s, "
-      "\"quantized_weight_bytes_ratio_at_largest_corpus\": %s, "
       "\"pruned_vs_exhaustive_qlen8_k1_at_largest_corpus\": %s}\n}\n",
       v.all_equivalent ? "true" : "false",
       v.codec_identity ? "true" : "false",
@@ -382,7 +373,6 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
       v.compressed_not_slower ? "true" : "false",
       v.pruned_13x_qlen8_k1 ? "true" : "false",
       JsonEscapeNumber(v.compression_ratio).c_str(),
-      JsonEscapeNumber(v.quant_weight_ratio).c_str(),
       JsonEscapeNumber(v.pruned_vs_exhaustive_qlen8_k1).c_str());
   std::fclose(f);
   std::printf("json written to %s\n", path);
@@ -486,22 +476,13 @@ int Run(int argc, char** argv) {
     comp_opts.compress_postings = true;
     auto compressed = build(comp_opts);
 
-    // Quantized weights on top of bit-packing: bounds from 8-bit caps,
-    // exact re-scoring of survivors. In the equivalence sweep and the
-    // memory table; not separately timed (the compressed row is the
-    // serving configuration).
-    index::IndexOptions quant_opts;
-    quant_opts.compress_postings = true;
-    quant_opts.quantize_weights = true;
-    auto quantized = build(quant_opts);
-
     auto mem_of = [](const index::InvertedIndex& idx) {
       auto m = idx.MemoryUsage();
       MemRow row;
       row.doc_bytes_per_posting = m.doc_bytes_per_posting();
       row.weight_bytes_per_posting =
           m.num_postings > 0
-              ? static_cast<double>(m.posting_weight_total_bytes()) /
+              ? static_cast<double>(m.posting_weight_bytes) /
                     static_cast<double>(m.num_postings)
               : 0.0;
       row.bytes_per_posting = m.bytes_per_posting();
@@ -511,21 +492,19 @@ int Run(int argc, char** argv) {
     };
     row.mem_raw = mem_of(pruned);
     row.mem_compressed = mem_of(*compressed);
-    row.mem_quantized = mem_of(*quantized);
 
     std::printf("\ncorpus %zu docs | ingest %.0f docs/s\n", num_docs,
                 row.ingest_dps);
     std::printf(
         "  memory: doc bytes/posting raw %.2f vs bitpack %.2f (%.2fx) | "
-        "weight bytes/posting raw %.2f vs quantized %.2f | total %.1f / "
-        "%.1f / %.1f MB (raw/bitpack/quant), %llu postings\n",
+        "weight bytes/posting %.2f | total %.1f / %.1f MB (raw/bitpack), "
+        "%llu postings\n",
         row.mem_raw.doc_bytes_per_posting,
         row.mem_compressed.doc_bytes_per_posting,
         row.mem_raw.doc_bytes_per_posting /
             row.mem_compressed.doc_bytes_per_posting,
-        row.mem_raw.weight_bytes_per_posting,
-        row.mem_quantized.weight_bytes_per_posting, row.mem_raw.total_mb,
-        row.mem_compressed.total_mb, row.mem_quantized.total_mb,
+        row.mem_raw.weight_bytes_per_posting, row.mem_raw.total_mb,
+        row.mem_compressed.total_mb,
         static_cast<unsigned long long>(row.mem_raw.num_postings));
     std::printf("%6s %4s | %11s %11s %11s | %8s %8s | %9s %9s | %s\n",
                 "qlen", "k", "exhst q/s", "pruned q/s", "bitpk q/s",
@@ -566,7 +545,6 @@ int Run(int argc, char** argv) {
           auto a = exhaustive->SearchTerms(q, k);
           check_against(q, a, pruned, &verdict.all_equivalent);
           check_against(q, a, *compressed, &verdict.all_equivalent);
-          check_against(q, a, *quantized, &verdict.all_equivalent);
           if (simd_active) {
             index::SetBitpackKernelOverride(index::BitpackKernel::kScalar);
             check_against(q, a, *compressed, &verdict.codec_identity);
@@ -676,11 +654,6 @@ int Run(int argc, char** argv) {
   verdict.compression_ratio = largest.mem_raw.doc_bytes_per_posting /
                               largest.mem_compressed.doc_bytes_per_posting;
   verdict.compression_2x = verdict.compression_ratio >= 2.0;
-  verdict.quant_weight_ratio =
-      largest.mem_quantized.weight_bytes_per_posting > 0
-          ? largest.mem_raw.weight_bytes_per_posting /
-                largest.mem_quantized.weight_bytes_per_posting
-          : 0.0;
 
   if (json_path != nullptr) {
     WriteJson(rows, verdict, dec, json_path);
@@ -691,18 +664,14 @@ int Run(int argc, char** argv) {
               largest.docs >= 50000 ? "(gate >= 1.3x)"
                                     : "(not gated below 50000 docs)");
   std::printf("compressed doc-id bytes/posting at %zu docs: %.2f vs %.2f "
-              "raw (%.2fx; gate >= 2x); quantized weight bytes/posting "
-              "%.2f vs %.2f raw (%.2fx)\n",
+              "raw (%.2fx; gate >= 2x)\n",
               largest.docs, largest.mem_compressed.doc_bytes_per_posting,
               largest.mem_raw.doc_bytes_per_posting,
-              verdict.compression_ratio,
-              largest.mem_quantized.weight_bytes_per_posting,
-              largest.mem_raw.weight_bytes_per_posting,
-              verdict.quant_weight_ratio);
+              verdict.compression_ratio);
 
   bench::Verdict(
       verdict.pass(),
-      "pruned, bit-packed, and quantized top-k byte-identical to "
+      "pruned and bit-packed top-k byte-identical to "
       "exhaustive (scalar and SIMD kernels alike) at every corpus size x "
       "query length x k; no cell materially slower than exhaustive; the "
       "compressed path at least as fast as uncompressed at the largest "

@@ -46,9 +46,11 @@ Status Crawler::Crawl(const std::vector<std::string>& seeds) {
     auto dom = html::Parse(resp->body);
     std::string title = html::ExtractTitle(*dom);
     if (options_.index_pages) {
+      // Crawled pages are the surface web; surfaced pages enter the
+      // index through SurfacingDriver instead.
       auto added = index_->AddDocument(url.ToCanonicalString(), title,
                                        html::ExtractText(*dom),
-                                       options_.mark_deep_web, url.host());
+                                       /*is_deep_web=*/false, url.host());
       if (added.ok()) ++stats_.pages_indexed;
     }
     // Forms: dedup by (host, resolved action) so one site's form counts

@@ -35,7 +35,6 @@ struct CrawlOptions {
   size_t max_pages = 100000;       ///< global page budget
   size_t max_pages_per_host = 5000;///< politeness cap
   bool index_pages = true;         ///< insert fetched pages into the index
-  bool mark_deep_web = false;      ///< provenance flag for indexed pages
 };
 
 /// Result summary of a crawl.

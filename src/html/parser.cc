@@ -16,6 +16,12 @@ bool IsVoidElement(std::string_view tag) {
 
 namespace {
 
+/// Most elements open at once, the depth cap Chromium's and WebKit's
+/// parsers use. The DOM walkers recurse once per level, so without a cap
+/// one page of deeply nested tags would overflow the stack of whatever
+/// process reads it.
+constexpr size_t kMaxOpenElements = 512;
+
 /// Returns the set of open tags that a new `tag` implicitly closes when it
 /// is the innermost open element.
 bool ImpliedClose(std::string_view open, std::string_view incoming) {
@@ -61,7 +67,12 @@ class TreeBuilder final : public TokenSink {
     }
     Node* el = root_->NewElement(name, attributes, count);
     stack_.back()->AppendChild(el);
-    if (!self_closing && !IsVoidElement(name)) stack_.push_back(el);
+    // At the depth cap the element stays in the tree but is not opened,
+    // so what follows it lands in the innermost open element instead.
+    if (!self_closing && !IsVoidElement(name) &&
+        stack_.size() <= kMaxOpenElements) {
+      stack_.push_back(el);
+    }
   }
 
   void EndTag(std::string_view name) override {

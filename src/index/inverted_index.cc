@@ -52,30 +52,6 @@ size_t GallopTo(const DocId* span, size_t n, size_t from, DocId target) {
                              span);
 }
 
-/// Dequantized cap of an 8-bit impact level against a block's max
-/// weight: cap(q) = q * (block_max / 255.0) computed in double, with
-/// cap(255) pinned to exactly block_max so the top level can never
-/// round below a weight it must cover. Monotone in q.
-inline float QuantCap(uint8_t q, float block_max) {
-  if (q == 255) return block_max;
-  return static_cast<float>(static_cast<double>(q) *
-                            (static_cast<double>(block_max) / 255.0));
-}
-
-/// Smallest 8-bit level whose cap covers `w` (0 < w <= block_max) —
-/// the quantizer's contract, QuantCap(QuantizeWeight(w, m), m) >= w, is
-/// what makes quantized bounds conservative and therefore results
-/// byte-identical. Termination is unconditional: cap(255) == block_max
-/// >= w exactly.
-inline uint8_t QuantizeWeight(float w, float block_max) {
-  const double scale = static_cast<double>(block_max) / 255.0;
-  int q = static_cast<int>(static_cast<double>(w) / scale);
-  if (q < 1) q = 1;
-  if (q > 255) q = 255;
-  while (q < 255 && QuantCap(static_cast<uint8_t>(q), block_max) < w) ++q;
-  return static_cast<uint8_t>(q);
-}
-
 /// Deep-k fallback factor of the exhaustive-vs-maxscore routing (see
 /// IndexOptions::pruning_min_postings): a query goes to the exhaustive
 /// scan when k * resolved terms * this factor reaches its candidate pool.
@@ -127,8 +103,6 @@ void InvertedIndex::PostingCursor::Init(const InvertedIndex* idx,
   owner = idx;
   block_size = static_cast<uint32_t>(idx->options_.posting_block_size);
   compressed = idx->options_.compress_postings;
-  quantized = idx->options_.quantize_weights;
-  sealed = static_cast<uint32_t>(pl->blocks.size()) * block_size;
   pos = 0;
   decoded = 0;
   skipped = 0;
@@ -158,13 +132,6 @@ void InvertedIndex::PostingCursor::LoadSegment(uint32_t segment) {
     win_end = pl->count;
     window = compressed ? pl->docs.data() : pl->docs.data() + win_begin;
   }
-}
-
-float InvertedIndex::PostingCursor::WeightCap() const {
-  if (quantized && pos < sealed) {
-    return QuantCap(pl->qweights[pos], pl->blocks[seg].max_weight);
-  }
-  return Weight();
 }
 
 float InvertedIndex::PostingCursor::SegMaxWeight() const {
@@ -386,16 +353,6 @@ void InvertedIndex::AppendPostingLocked(PostingList* pl, DocId id, float w) {
     EncodeBitpackBlock(pl->docs.data(), block, base, &pl->packed);
     pl->docs.clear();
   }
-  if (options_.quantize_weights) {
-    // Migrate the sealed block's weights (exactly the current tail) to
-    // 8-bit caps; the exact floats remain reachable through the forward
-    // index, which is where survivors re-score from.
-    pl->qweights.reserve(pl->qweights.size() + pl->weights.size());
-    for (float tw : pl->weights) {
-      pl->qweights.push_back(QuantizeWeight(tw, meta.max_weight));
-    }
-    pl->weights.clear();
-  }
   const uint32_t bidx = static_cast<uint32_t>(pl->blocks.size());
   pl->blocks.push_back(meta);
   if (options_.compress_postings && options_.decode_cache_bytes > 0) {
@@ -597,7 +554,6 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     size_t k) const {
   const double k1 = options_.bm25_k1;
   const bool compressed = options_.compress_postings;
-  const bool quantized = options_.quantize_weights;
   const size_t block = options_.posting_block_size;
   thread_local ExhaustiveScratch scratch;
   if (scratch.acc.size() < docs_.size()) scratch.acc.resize(docs_.size());
@@ -611,18 +567,13 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
   uint64_t cache_hits = 0;
   for (const QueryTerm& qt : query) {
     const PostingList& pl = *qt.postings;
-    // Scores ids[0, n) with their exact float weights `w` — or, where
-    // quantization moved a sealed span to 8-bit caps (`w` null), with
-    // the forward index's copy (the same float AppendPostingLocked
-    // stored, so identical bits).
+    // Scores ids[0, n) with their exact float weights `w`.
     auto add = [&](const DocId* ids, size_t n, const float* w) {
       for (size_t i = 0; i < n; ++i) {
         const DocId d = ids[i];
-        const double weight = w != nullptr ? static_cast<double>(w[i])
-                                           : static_cast<double>(
-                                                 ForwardWeight(qt.tid, d));
         if (acc[d] == 0.0) touched.push_back(d);
-        acc[d] += Contribution(qt.idf, weight, norms.Of(d), k1);
+        acc[d] += Contribution(qt.idf, static_cast<double>(w[i]),
+                               norms.Of(d), k1);
       }
     };
     // Sealed blocks, then the raw tail. A compressed block is read
@@ -639,10 +590,10 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
         ids = pl.docs.data() + b * block;
       }
       hit ? ++cache_hits : ++decoded;
-      add(ids, block, quantized ? nullptr : pl.weights.data() + b * block);
+      add(ids, block, pl.weights.data() + b * block);
     }
     add(pl.docs.data() + (compressed ? 0 : sealed), pl.count - sealed,
-        pl.weights.data() + (quantized ? 0 : sealed));
+        pl.weights.data() + sealed);
   }
   stat_blocks_decoded_.fetch_add(decoded, std::memory_order_relaxed);
   stat_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
@@ -675,7 +626,6 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   const double k1 = options_.bm25_k1;
   const size_t m = query.size();
   const uint32_t block = static_cast<uint32_t>(options_.posting_block_size);
-  const bool quantized = options_.quantize_weights;
   for (QueryTerm& qt : query) qt.cursor.Init(this, qt.postings);
 
   // Process lists in ascending upper-bound order; the low-cap prefix
@@ -914,19 +864,15 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
 
     for (QueryTerm& qt : query) qt.at_frontier = false;
 
-    // Contributions from the essential lists sitting on the frontier.
-    // WeightCap() is the exact weight without quantization and a
-    // conservative >= cap with it, so `partial` (and `running` below)
-    // upper-bound the true partial score either way — which is all the
-    // viability tests need. `match` already holds exactly the essential
-    // cursors on the frontier, in order-array order (the original scan
-    // order, so the addition sequence is unchanged).
+    // Exact contributions from the essential lists sitting on the
+    // frontier. `match` already holds exactly the essential cursors on
+    // the frontier, in order-array order.
     const double frontier_norm = norms.Of(frontier);
     double partial = 0.0;
     for (size_t i = 0; i < match_n; ++i) {
       QueryTerm& qt = query[order[match[i]]];
       qt.contribution = Contribution(
-          qt.idf, static_cast<double>(qt.cursor.WeightCap()), frontier_norm,
+          qt.idf, static_cast<double>(qt.cursor.Weight()), frontier_norm,
           k1);
       qt.at_frontier = true;
       partial += qt.contribution;
@@ -948,7 +894,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
         qt.cursor.SeekTo(frontier);
         if (!qt.cursor.AtEnd() && qt.cursor.Doc() == frontier) {
           qt.contribution = Contribution(
-              qt.idf, static_cast<double>(qt.cursor.WeightCap()),
+              qt.idf, static_cast<double>(qt.cursor.Weight()),
               frontier_norm, k1);
           qt.at_frontier = true;
           running += qt.contribution;
@@ -956,26 +902,12 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
       }
     }
     if (viable) {
-      // The candidate survives every bound: compute its real score by
-      // summing contributions in original query order — the exhaustive
-      // accumulator's exact addition sequence. With quantization the
-      // cached contributions are caps, so survivors re-score from the
-      // exact floats (the tail stores them; sealed postings read the
-      // forward index).
+      // The candidate survives every bound: its real score is the sum of
+      // the cached exact contributions in original query order — the
+      // exhaustive accumulator's exact addition sequence.
       double score = 0.0;
-      if (quantized) {
-        for (QueryTerm& qt : query) {
-          if (!qt.at_frontier) continue;
-          const double w =
-              qt.cursor.InSealed()
-                  ? static_cast<double>(ForwardWeight(qt.tid, frontier))
-                  : static_cast<double>(qt.cursor.Weight());
-          score += Contribution(qt.idf, w, frontier_norm, k1);
-        }
-      } else {
-        for (const QueryTerm& qt : query) {
-          if (qt.at_frontier) score += qt.contribution;
-        }
+      for (const QueryTerm& qt : query) {
+        if (qt.at_frontier) score += qt.contribution;
       }
       SearchHit cand{frontier, score};
       if (!full) {
@@ -1081,7 +1013,6 @@ IndexMemoryUsage InvertedIndex::MemoryUsage() const {
     u.posting_doc_raw_bytes += pl.docs.size() * sizeof(DocId);
     u.posting_doc_packed_bytes += pl.packed.size();
     u.posting_weight_bytes += pl.weights.size() * sizeof(float);
-    u.posting_weight_quant_bytes += pl.qweights.size();
     u.posting_block_bytes += pl.blocks.size() * sizeof(BlockMeta) +
                              pl.impact_order.size() * sizeof(uint32_t);
     u.num_postings += pl.count;

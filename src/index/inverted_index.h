@@ -15,14 +15,9 @@
 // fixed-width bit-packed gaps (index/bitpack_codec.h; SIMD-decoded
 // where the CPU allows). The newest postings of a term live in an
 // unsealed raw tail, so ingest stays append-only and interleaved
-// InsertBatch/search keeps working. Posting weights stay raw floats in
-// one parallel array by default, so the scoring loop reads the exact
-// same bits with or without compression; with
-// IndexOptions::quantize_weights, sealed blocks instead keep 8-bit
-// quantized impact caps (per-block scale, always >= the true weight)
-// used ONLY for bounds and candidate filtering — every surviving
-// candidate is re-scored from the exact floats in the forward index,
-// so returned score bits and tie-break order are unchanged.
+// InsertBatch/search keeps working. Every posting's weight stays a raw
+// float in one parallel array, sealed or not, so both scorers read the
+// exact same bits with or without compression.
 // Each document's BM25 length normalization is precomputed into a flat
 // float array, so scoring never touches DocInfo or hashes a string.
 //
@@ -36,17 +31,17 @@
 // contract: the pruned path returns results BYTE-IDENTICAL to the
 // exhaustive scorer — the same documents, the same IEEE-754 score
 // bits, the same (score desc, doc id asc) tie-break order — for every
-// query and every k, compressed, quantized or not. This
-// holds because (a) all bounds (list-level, block-level, and quantized
-// per-posting caps) are STRICTLY inflated before any comparison, so a
-// document is skipped only when its true score provably cannot even
-// tie into the top-k — a potential tie always survives the bounds and
-// reaches exact scoring, where the total (score desc, doc id asc)
-// order decides — and (b) a surviving candidate's score is summed over
-// the query terms in original query order, the exact addition sequence
-// the exhaustive accumulator performs. pruning_test and bench_index
-// enforce the contract on randomized corpora; IndexOptions::
-// enable_pruning = false selects the exhaustive path outright.
+// query and every k, compressed or not. This holds because (a) all
+// bounds (list-level and block-level) are STRICTLY inflated before any
+// comparison, so a document is skipped only when its true score
+// provably cannot even tie into the top-k — a potential tie always
+// survives the bounds and reaches exact scoring, where the total
+// (score desc, doc id asc) order decides — and (b) a surviving
+// candidate's score is summed over the query terms in original query
+// order, the exact addition sequence the exhaustive accumulator
+// performs. pruning_test and bench_index enforce the contract on
+// randomized corpora; IndexOptions::enable_pruning = false selects the
+// exhaustive path outright.
 
 #ifndef DEEPSURF_INDEX_INVERTED_INDEX_H_
 #define DEEPSURF_INDEX_INVERTED_INDEX_H_
@@ -109,13 +104,6 @@ struct IndexOptions {
   /// bytes_per_posting). Weights stay raw floats either way, so results
   /// are byte-identical; this only trades block-decode CPU for memory.
   bool compress_postings = false;
-  /// When true, a sealed block's weights are stored as 8-bit quantized
-  /// impact caps (per-block scale) instead of raw floats — a 4x cut of
-  /// the weight stream. The caps are used only for bounds and candidate
-  /// filtering; surviving candidates re-score from the exact floats in
-  /// the forward index, so results stay byte-identical. Off by default:
-  /// it trades a little exact-rescore CPU for memory.
-  bool quantize_weights = false;
   /// Byte budget for pinned block decodes (0 disables them). Sealed
   /// compressed blocks are immutable once written, so the first query
   /// to decode one may publish ("pin") the decoded doc ids into a
@@ -259,18 +247,12 @@ class InvertedIndex : public WritableIndex {
   /// size blocks plus an unsealed raw tail. Uncompressed: `docs` holds
   /// every id contiguously (sealing only records a BlockMeta).
   /// Compressed: sealed ids live bit-packed in `packed` and `docs`
-  /// holds only the tail. Without weight quantization `weights` holds
-  /// every posting's raw float weight in posting order — the scorer
-  /// reads the exact same bits however the ids are stored. With
-  /// quantization, sealed postings keep an 8-bit impact cap in
-  /// `qweights` instead (always >= the true weight; per-block scale =
-  /// the block's max_weight) and `weights` holds only the tail; exact
-  /// floats for sealed postings come from the forward index at re-score
-  /// time.
+  /// holds only the tail. `weights` holds every posting's raw float
+  /// weight, indexed by absolute posting position — the scorers read
+  /// the exact same bits however the ids are stored.
   struct PostingList {
     std::vector<DocId> docs;
     std::vector<float> weights;  ///< tf with title boost applied
-    std::vector<uint8_t> qweights;  ///< sealed 8-bit caps (quantized mode)
     std::vector<uint8_t> packed;
     std::vector<BlockMeta> blocks;
     /// Block indices sorted by descending max_weight (ties: ascending
@@ -316,18 +298,8 @@ class InvertedIndex : public WritableIndex {
     void Init(const InvertedIndex* idx, const PostingList* list);
     bool AtEnd() const { return pos >= pl->count; }
     DocId Doc() const { return window[pos - win_begin]; }
-    /// Exact float weight. With quantization this exists only in the
-    /// unsealed tail (sealed postings store caps; exact floats live in
-    /// the forward index) — callers in quantized mode must check
-    /// InSealed() first.
-    float Weight() const {
-      return pl->weights[quantized ? pos - sealed : pos];
-    }
-    /// Conservative per-posting weight cap: the quantized 8-bit cap for
-    /// sealed postings in quantized mode (>= the true weight by the
-    /// quantizer's contract), the exact weight otherwise.
-    float WeightCap() const;
-    bool InSealed() const { return pos < sealed; }
+    /// Exact float weight of the current posting.
+    float Weight() const { return pl->weights[pos]; }
     /// Max weight / last doc id of the segment holding the cursor.
     float SegMaxWeight() const;
     DocId SegLastDoc() const;
@@ -353,8 +325,6 @@ class InvertedIndex : public WritableIndex {
     const InvertedIndex* owner = nullptr;  ///< serves sealed-block reads
     uint32_t block_size = 0;
     bool compressed = false;
-    bool quantized = false;  ///< sealed weights are 8-bit caps
-    uint32_t sealed = 0;     ///< postings in sealed blocks
     uint32_t pos = 0;        ///< absolute posting position
     uint32_t seg = 0;        ///< segment index (blocks.size() = tail)
     uint32_t win_begin = 0;  ///< absolute position of window[0]

@@ -14,6 +14,9 @@ namespace obs {
 
 namespace {
 
+/// Slow-query log entries retained (oldest evicted first).
+constexpr size_t kSlowLogCapacity = 64;
+
 std::string FormatMs(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -228,7 +231,7 @@ void Tracer::Commit(uint64_t trace_id, bool sampled, const std::string& query,
   }
   if (over_slo) {
     slow_log_.push_back(std::move(slow));
-    while (slow_log_.size() > options_.slow_log_capacity) {
+    while (slow_log_.size() > kSlowLogCapacity) {
       slow_log_.pop_front();
     }
   }

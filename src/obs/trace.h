@@ -104,8 +104,6 @@ struct TracerOptions {
   double slo_ms = 0.0;
   /// Committed traces retained (whole trees; oldest evicted first).
   size_t max_traces = 256;
-  /// Slow-query log entries retained.
-  size_t slow_log_capacity = 64;
   /// Trace-id derivation seed (hashed with the query sequence number).
   uint64_t seed = 0x9e3779b97f4a7c15ULL;
 };

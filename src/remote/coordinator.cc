@@ -19,6 +19,19 @@ double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
+
+/// The hedge fires at this quantile of recent RPC latencies...
+constexpr double kHedgeQuantile = 0.95;
+/// ...once the tracker holds this many samples; until then it fires
+/// after CoordinatorOptions::hedge_min_ms.
+constexpr size_t kHedgeWarmup = 16;
+/// Window of the RPC latency tracker driving the hedge delay.
+constexpr size_t kLatencyWindow = 512;
+/// Consecutive failures before a replica is skipped as dead.
+constexpr size_t kDeadAfter = 3;
+/// Payload-byte budget per catch-up Fetch round (one peer RPC or one
+/// local log read); catch-up loops rounds until the replica is current.
+constexpr size_t kCatchupFetchBytes = 1u << 20;
 }  // namespace
 
 /// Completion state of one logical shard call, co-owned by the waiting
@@ -77,7 +90,7 @@ Coordinator::Coordinator(Transport* transport, CoordinatorOptions options)
       options_(options),
       num_shards_(transport->num_shards()),
       num_replicas_(transport->num_replicas()),
-      latency_ms_(std::max<size_t>(1, options.latency_window)) {
+      latency_ms_(kLatencyWindow) {
   local_to_global_.resize(num_shards_);
   shard_doc_count_.assign(num_shards_, 0);
   shard_seq_.assign(num_shards_, 0);
@@ -197,7 +210,7 @@ size_t Coordinator::ShardForUrl(const std::string& url) const {
 
 double Coordinator::HedgeDelayMs() const {
   std::lock_guard<std::mutex> lock(telemetry_mu_);
-  if (latency_ms_.size() < options_.hedge_warmup) return options_.hedge_min_ms;
+  if (latency_ms_.size() < kHedgeWarmup) return options_.hedge_min_ms;
   // Quantile() is O(window) — too much to pay under a contended lock on
   // every shard call. Recompute every kRefreshEvery samples; hedge
   // delays only need to track the latency distribution, not each point.
@@ -206,7 +219,7 @@ double Coordinator::HedgeDelayMs() const {
     hedge_delay_cache_ms_ = std::min(
         options_.hedge_max_ms,
         std::max(options_.hedge_min_ms,
-                 latency_ms_.Quantile(options_.hedge_quantile)));
+                 latency_ms_.Quantile(kHedgeQuantile)));
     hedge_delay_refresh_at_ = latency_ms_.total() + kRefreshEvery;
   }
   return hedge_delay_cache_ms_;
@@ -467,7 +480,7 @@ Result<std::string> Coordinator::CallShard(
       const bool hard_failure = (s.done && !s.pressure) || (!s.done && !won);
       if (!hard_failure) continue;
       ++h.consecutive_failures;
-      if (!h.dead && h.consecutive_failures >= options_.dead_after) {
+      if (!h.dead && h.consecutive_failures >= kDeadAfter) {
         h.dead = true;
         g_replicas_dead_->Add(1);
       }
@@ -890,7 +903,7 @@ std::vector<IngestLogRecord> Coordinator::FetchMissing(
   if (peer >= 0) {
     FetchRequest freq;
     freq.from_seq = from_seq;
-    freq.max_bytes = options_.catchup_fetch_bytes;
+    freq.max_bytes = kCatchupFetchBytes;
     auto resp = CallShard(shard, Encode(freq), peer,
                           options_.catchup_attempts,
                           /*hedging_allowed=*/false);
@@ -915,7 +928,7 @@ std::vector<IngestLogRecord> Coordinator::FetchMissing(
   }
   // Fall back to the coordinator's own staged log.
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return wal_[shard].Read(from_seq, options_.catchup_fetch_bytes);
+  return wal_[shard].Read(from_seq, kCatchupFetchBytes);
 }
 
 bool Coordinator::CatchUpOne(size_t shard, size_t replica) {

@@ -67,9 +67,6 @@ struct ShardServerOptions {
   /// Retention of the write-ahead ingest log this server keeps of its
   /// applied batches (serves peer catch-up via Fetch frames).
   IngestLogOptions wal;
-  /// Largest payload-byte budget one Fetch response will carry, however
-  /// much the peer asked for (bounds response frames).
-  size_t max_fetch_bytes = 4u << 20;
 };
 
 /// Cumulative counters of one server (all since construction). A thin

@@ -360,7 +360,6 @@ std::string Encode(const HealthResponse& msg) {
   PutU64(&out, msg.memory.posting_doc_raw_bytes);
   PutU64(&out, msg.memory.posting_doc_packed_bytes);
   PutU64(&out, msg.memory.posting_weight_bytes);
-  PutU64(&out, msg.memory.posting_weight_quant_bytes);
   PutU64(&out, msg.memory.posting_block_bytes);
   PutU64(&out, msg.memory.dictionary_bytes);
   PutU64(&out, msg.memory.norm_cache_bytes);
@@ -392,7 +391,6 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& frame) {
   msg.memory.posting_doc_raw_bytes = r.GetU64();
   msg.memory.posting_doc_packed_bytes = r.GetU64();
   msg.memory.posting_weight_bytes = r.GetU64();
-  msg.memory.posting_weight_quant_bytes = r.GetU64();
   msg.memory.posting_block_bytes = r.GetU64();
   msg.memory.dictionary_bytes = r.GetU64();
   msg.memory.norm_cache_bytes = r.GetU64();

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "extract/record_extractor.h"
+#include "html/forms.h"
 #include "html/parser.h"
 #include "html/text.h"
 
@@ -190,6 +192,44 @@ TEST(ParserTest, PositionsArePreOrder) {
   }
   EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(root->FirstDescendant("div")->SubtreeSize(), 6u);
+}
+
+TEST(ParserTest, DeepNestingIsCappedAndKeepsItsText) {
+  // A hostile page of 100,000 nested divs: every reader of the tree
+  // recurses once per level, so an uncapped tree overflows the stack.
+  // Past the cap, tags still enter the tree but are not opened, so the
+  // words inside them stay in the document.
+  constexpr int kDepth = 100000;
+  std::string page = "<form action=/s><input name=q></form><a href=/x>go</a>";
+  std::string expected = "go";
+  for (int i = 0; i < kDepth; ++i) {
+    page += "<div>";
+    if (i % 10000 == 0) {
+      page += "w" + std::to_string(i) + " ";
+      expected += " w" + std::to_string(i);
+    }
+  }
+  page += "deepest";
+  expected += " deepest";
+  for (int i = 0; i < kDepth; ++i) page += "</div>";
+
+  auto root = Parse(page);
+  EXPECT_EQ(root->SubtreeSize(), 5u + kDepth + 11u);
+  // 512 opened divs, then the first of the unopened ones below them.
+  size_t levels = 0;
+  for (const Node* n = root->FirstDescendant("div"); n != nullptr;
+       n = n->FirstDescendant("div")) {
+    ++levels;
+  }
+  EXPECT_EQ(levels, 513u);
+  EXPECT_EQ(ExtractText(*root), expected);
+  auto links = ExtractLinks(*root);
+  ASSERT_EQ(links.size(), 1u);
+  EXPECT_EQ(links[0].href, "/x");
+  auto forms = ExtractForms(*root);
+  ASSERT_EQ(forms.size(), 1u);
+  EXPECT_EQ(forms[0].action, "/s");
+  EXPECT_TRUE(extract::ExtractRecords(*root).records.empty());
 }
 
 }  // namespace

@@ -489,6 +489,11 @@ TEST(CatchUpTest, ReviveWithoutListenerKeepsReplicaOutOfRotation) {
   flaky.Kill(0, 1);
   flaky.Kill(1, 1);
   ASSERT_TRUE(coordinator.InsertBatch(missed).ok());
+  // That batch queued a catch-up for each straggler. Let those give up
+  // against the dead replicas first: a catch-up that ran only after the
+  // revive would heal the replicas before the probes below could see
+  // them stale.
+  ASSERT_TRUE(coordinator.WaitForCatchUp(/*timeout_ms=*/10000.0));
   flaky.Revive(0, 1);
   flaky.Revive(1, 1);
 

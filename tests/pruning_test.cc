@@ -5,10 +5,9 @@
 // Exercised on randomized corpora across k well below, at, and above
 // the corpus size, at 1/3/8 shards, with and without the serve-layer
 // result cache, with postings compressed (bit-packed sealed blocks) and
-// raw, with weights quantized and exact, across decode-cache budgets,
-// at block sizes small enough to force many sealed blocks plus an
-// unsealed tail, plus the degenerate inputs (empty query, unknown
-// terms, k = 0).
+// raw, across decode-cache budgets, at block sizes small enough to
+// force many sealed blocks plus an unsealed tail, plus the degenerate
+// inputs (empty query, unknown terms, k = 0).
 
 #include <gtest/gtest.h>
 
@@ -97,34 +96,27 @@ TEST_P(PruningEquivalenceTest, PrunedTopKisByteIdenticalToExhaustive) {
   InvertedIndex exhaustive(exhaustive_opts);
   ASSERT_TRUE(exhaustive.InsertBatch(docs).ok());
 
-  // Pruned configurations: compression on/off crossed with weight
-  // quantization and the decode-cache budget, at a block size small
-  // enough that common terms span many sealed blocks plus a tail (df up
-  // to 600 at block 16) and at the default block size where most lists
-  // are tail-only. Every one must be byte-identical to the exhaustive
-  // reference.
+  // Pruned configurations: compression on/off crossed with the
+  // decode-cache budget, at a block size small enough that common terms
+  // span many sealed blocks plus a tail (df up to 600 at block 16) and
+  // at the default block size where most lists are tail-only. Every one
+  // must be byte-identical to the exhaustive reference.
   struct Config {
     bool compress;
     size_t block;
-    bool quantize = false;
     size_t cache = 16u << 20;  // IndexOptions::decode_cache_bytes default
   };
   for (const Config& cfg :
        {Config{false, 16}, Config{true, 16}, Config{true, 128},
-        Config{true, 16, /*quantize=*/true},   // full stack
-        Config{false, 16, /*quantize=*/true},  // quantize alone
-        Config{true, 128, /*quantize=*/true},
         // Pinned-decode edge cases: no budget (every touch decodes to
         // scratch) and a budget so small it exhausts mid-corpus (mixed
         // pinned/unpinned blocks within single lists).
-        Config{true, 16, false, /*cache=*/0},
-        Config{true, 16, true, /*cache=*/256}}) {
+        Config{true, 16, /*cache=*/0}, Config{true, 16, /*cache=*/256}}) {
     IndexOptions pruned_opts;
     pruned_opts.enable_pruning = true;
     pruned_opts.pruning_min_postings = 0;  // force maxscore on this corpus
     pruned_opts.compress_postings = cfg.compress;
     pruned_opts.posting_block_size = cfg.block;
-    pruned_opts.quantize_weights = cfg.quantize;
     pruned_opts.decode_cache_bytes = cfg.cache;
     InvertedIndex pruned(pruned_opts);
     ASSERT_TRUE(pruned.InsertBatch(docs).ok());
@@ -137,7 +129,6 @@ TEST_P(PruningEquivalenceTest, PrunedTopKisByteIdenticalToExhaustive) {
                        pruned.SearchTerms(terms, k),
                        "seed " + std::to_string(GetParam()) + " k=" +
                            std::to_string(k) + (cfg.compress ? " comp" : "") +
-                           (cfg.quantize ? " quant" : "") +
                            " block=" + std::to_string(cfg.block) +
                            " cache=" + std::to_string(cfg.cache));
       }
@@ -189,21 +180,14 @@ TEST_P(PruningEquivalenceTest, ShardedPrunedMatchesExhaustiveSingleIndex) {
   ASSERT_TRUE(reference.InsertBatch(docs).ok());
 
   auto queries = RandomQueries(GetParam() * 57 + 1, 80);
-  // Modes: raw, bit-packed compressed, and the full compressed +
-  // quantized stack — each at 1/3/8 shards.
-  struct Mode {
-    bool compress;
-    bool quantize;
-  };
+  // Raw and bit-packed compressed postings, each at 1/3/8 shards.
   for (size_t shards : {1u, 3u, 8u}) {
-    for (const Mode& mode :
-         {Mode{false, false}, Mode{true, false}, Mode{true, true}}) {
+    for (bool compress : {false, true}) {
       ShardedIndexOptions sopts;
       sopts.num_shards = shards;
       sopts.index.enable_pruning = true;
       sopts.index.pruning_min_postings = 0;  // force maxscore per shard
-      sopts.index.compress_postings = mode.compress;
-      sopts.index.quantize_weights = mode.quantize;
+      sopts.index.compress_postings = compress;
       sopts.index.posting_block_size = 16;  // many sealed blocks + tails
       ShardedIndex sharded(sopts);
       ASSERT_TRUE(sharded.InsertBatch(docs).ok());
@@ -214,8 +198,7 @@ TEST_P(PruningEquivalenceTest, ShardedPrunedMatchesExhaustiveSingleIndex) {
                          sharded.SearchTerms(terms, k),
                          std::to_string(shards) + " shards, k=" +
                              std::to_string(k) +
-                             (mode.compress ? ", compressed" : "") +
-                             (mode.quantize ? ", quantized" : ""));
+                             (compress ? ", compressed" : ""));
         }
       }
     }
@@ -398,33 +381,6 @@ TEST(PruningEdgeCases, MemoryUsageSumsAcrossShards) {
   EXPECT_GT(total.doc_bytes_per_posting(), 0.0);
   // Compressed doc-id storage beats 4 raw bytes per posting.
   EXPECT_LT(total.doc_bytes_per_posting(), 4.0);
-}
-
-TEST(PruningEdgeCases, QuantizedWeightsShrinkTheWeightStream) {
-  // Quantization's whole point: the sealed weight stream drops from
-  // 4 bytes/posting to 1 (the tail keeps floats), while results stay
-  // byte-identical (covered by the matrix tests above).
-  auto docs = RandomDocs(31, 400);
-  IndexOptions raw_opts;
-  InvertedIndex raw(raw_opts);
-  ASSERT_TRUE(raw.InsertBatch(docs).ok());
-  IndexOptions q_opts;
-  q_opts.quantize_weights = true;
-  q_opts.compress_postings = true;
-  q_opts.posting_block_size = 16;
-  InvertedIndex quantized(q_opts);
-  ASSERT_TRUE(quantized.InsertBatch(docs).ok());
-
-  auto rm = raw.MemoryUsage();
-  auto qm = quantized.MemoryUsage();
-  EXPECT_EQ(rm.num_postings, qm.num_postings);
-  EXPECT_EQ(rm.posting_weight_quant_bytes, 0u);
-  EXPECT_GT(qm.posting_weight_quant_bytes, 0u);
-  // Every sealed posting moved from a 4-byte float to a 1-byte cap.
-  EXPECT_LT(qm.posting_weight_total_bytes(),
-            rm.posting_weight_total_bytes());
-  EXPECT_EQ(rm.posting_weight_bytes,
-            qm.posting_weight_bytes + 4 * qm.posting_weight_quant_bytes);
 }
 
 TEST(PruningEdgeCases, SearchStatsCountDecodesAndSkips) {

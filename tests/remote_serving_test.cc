@@ -170,7 +170,6 @@ TEST(WireTest, HealthRoundTrips) {
   health.memory.posting_doc_raw_bytes = 1234;
   health.memory.posting_doc_packed_bytes = 870;
   health.memory.posting_weight_bytes = 4321;
-  health.memory.posting_weight_quant_bytes = 123;
   health.memory.posting_block_bytes = 96;
   health.memory.dictionary_bytes = 555;
   health.memory.norm_cache_bytes = 44;
@@ -189,7 +188,6 @@ TEST(WireTest, HealthRoundTrips) {
   EXPECT_EQ(h->memory.posting_doc_packed_bytes, 870u);
   EXPECT_EQ(h->memory.posting_doc_bytes(), 1234u + 870u);
   EXPECT_EQ(h->memory.posting_weight_bytes, 4321u);
-  EXPECT_EQ(h->memory.posting_weight_quant_bytes, 123u);
   EXPECT_EQ(h->memory.posting_block_bytes, 96u);
   EXPECT_EQ(h->memory.dictionary_bytes, 555u);
   EXPECT_EQ(h->memory.norm_cache_bytes, 44u);
@@ -888,8 +886,7 @@ TEST(RemoteServingTest, MemoryUsageSumsOneReplicaPerShard) {
     one_replica_each.Add(loopback.server(s, 0).index().MemoryUsage());
   }
   EXPECT_EQ(mem.posting_doc_bytes(), one_replica_each.posting_doc_bytes());
-  EXPECT_EQ(mem.posting_weight_total_bytes(),
-            one_replica_each.posting_weight_total_bytes());
+  EXPECT_EQ(mem.posting_weight_bytes, one_replica_each.posting_weight_bytes);
   EXPECT_EQ(mem.posting_block_bytes, one_replica_each.posting_block_bytes);
   EXPECT_EQ(mem.total_bytes() - mem.dictionary_bytes,
             one_replica_each.total_bytes() - one_replica_each.dictionary_bytes);

@@ -280,22 +280,20 @@ TEST(ServeEngineConcurrencyTest,
      SearchDuringIngestOverSealedAndUnsealedBlocks) {
   // The compressed block layout under interleaved ingest-while-search
   // (TSan job): a tiny block size makes every few ingested documents
-  // seal (bit-pack the ids AND quantize the weights, migrating floats
-  // to 8-bit caps) another block while readers hold live cursors over
-  // already-sealed blocks and the raw unsealed tails, re-scoring
-  // survivors from the forward index the writer is appending to.
-  // ShardedIndex's reader/writer lock is what makes this safe — the
-  // point of the test is that sealing happens entirely inside the
-  // writer's critical section, so a reader never observes a half-built
-  // block or a half-migrated weight stream. After the race settles,
-  // results must be byte-identical to an exhaustive uncompressed
-  // reference over the same documents.
+  // seal (bit-pack the ids of) another block while readers hold live
+  // cursors over already-sealed blocks and the raw unsealed tails, and
+  // the warm-up scores documents from the forward index the writer is
+  // appending to. ShardedIndex's reader/writer lock is what makes this
+  // safe — the point of the test is that sealing happens entirely
+  // inside the writer's critical section, so a reader never observes a
+  // half-built block. After the race settles, results must be
+  // byte-identical to an exhaustive uncompressed reference over the same
+  // documents.
   index::ShardedIndexOptions sopts;
   sopts.num_shards = 3;
   sopts.index.enable_pruning = true;
   sopts.index.pruning_min_postings = 0;  // force block-max maxscore
   sopts.index.compress_postings = true;
-  sopts.index.quantize_weights = true;
   sopts.index.posting_block_size = 8;  // seal constantly
   index::ShardedIndex index(sopts);
   std::vector<index::Document> seed_docs;
