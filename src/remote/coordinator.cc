@@ -29,9 +29,9 @@ constexpr size_t kHedgeWarmup = 16;
 constexpr size_t kLatencyWindow = 512;
 /// Consecutive failures before a replica is skipped as dead.
 constexpr size_t kDeadAfter = 3;
-/// Payload-byte budget per catch-up Fetch round (one peer RPC or one
-/// local log read); catch-up loops rounds until the replica is current.
-constexpr size_t kCatchupFetchBytes = 1u << 20;
+/// Payload-byte budget per catch-up read of a shard's ingest log;
+/// catch-up loops reads until the replica is current.
+constexpr size_t kCatchupReadBytes = 1u << 20;
 }  // namespace
 
 /// Completion state of one logical shard call, co-owned by the waiting
@@ -95,8 +95,8 @@ Coordinator::Coordinator(Transport* transport, CoordinatorOptions options)
   shard_doc_count_.assign(num_shards_, 0);
   shard_seq_.assign(num_shards_, 0);
   shard_head_.assign(num_shards_, 0);
-  wal_.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) wal_.emplace_back(options_.wal);
+  rotation_.assign(num_shards_, 0);
+  wal_.resize(num_shards_);
   health_.assign(num_shards_ * num_replicas_, ReplicaHealth{});
   replica_search_stats_.assign(num_shards_ * num_replicas_,
                                index::SearchStats{});
@@ -117,6 +117,7 @@ Coordinator::Coordinator(Transport* transport, CoordinatorOptions options)
   c_batches_replayed_ = metrics_.counter("coord.batches_replayed");
   c_catchup_bytes_ = metrics_.counter("coord.catchup_bytes");
   g_replicas_dead_ = metrics_.gauge("coord.replicas_dead");
+  g_wal_bytes_ = metrics_.gauge("coord.wal_bytes");
   h_rpc_ms_ = metrics_.histogram("coord.rpc_ms");
 
   // Enough workers that one query's fan-out plus replicated ingest can
@@ -227,11 +228,11 @@ double Coordinator::HedgeDelayMs() const {
 
 std::vector<size_t> Coordinator::ReplicaPlan(size_t shard,
                                              size_t attempts) const {
-  uint64_t start = rotation_.fetch_add(1, std::memory_order_relaxed);
   std::vector<size_t> order;
   std::vector<size_t> last_resort;
   {
     std::lock_guard<std::mutex> lock(telemetry_mu_);
+    const uint64_t start = rotation_[shard]++;
     // Only replicas that acked every ingest batch may serve: a stale
     // replica would answer from a smaller corpus and break byte
     // identity — it re-enters this plan the moment catch-up brings its
@@ -642,7 +643,9 @@ Result<size_t> Coordinator::IngestLocked(
 
   // Mirror of ShardedIndex::AddDocumentLocked, batch-wide: global ids in
   // insertion order, global duplicate suppression by content hash, URL-
-  // hash routing. Everything is decided here; shards just apply.
+  // hash routing. Everything is decided here; shards just apply. A
+  // server never receives a duplicate, so its acks hold whatever its
+  // own IndexOptions::suppress_duplicates says.
   std::vector<IngestRequest> batches(num_shards_);
   std::vector<std::vector<size_t>> batch_origin(num_shards_);
   std::vector<char> is_new(docs.size(), 0);
@@ -652,12 +655,10 @@ Result<size_t> Coordinator::IngestLocked(
   for (size_t i = 0; i < docs.size(); ++i) {
     const auto& d = docs[i];
     hashes[i] = Fnv1a64(d.body);
-    if (options_.suppress_duplicates) {
-      auto it = by_hash_.find(hashes[i]);
-      if (it != by_hash_.end()) {
-        (*ids)[i] = it->second;
-        continue;
-      }
+    auto it = by_hash_.find(hashes[i]);
+    if (it != by_hash_.end()) {
+      (*ids)[i] = it->second;
+      continue;
     }
     size_t s = ShardForUrl(d.url);
     auto gid = static_cast<index::DocId>(next_gid++);
@@ -805,6 +806,22 @@ Result<size_t> Coordinator::IngestLocked(
         }
       }
     }
+    // Trim each shard's log through its lowest ack: a batch that every
+    // non-poisoned replica has acked is never replayed again. A stale or
+    // dead replica holds the log at its last ack; a catch-up in flight
+    // raises that ack only after its replay, so it never loses a record
+    // it still needs. Poisoned replicas never catch up and hold nothing.
+    size_t wal_bytes = 0;
+    for (size_t s = 0; s < num_shards_; ++s) {
+      uint64_t lowest_ack = shard_seq_[s];
+      for (size_t r = 0; r < num_replicas_; ++r) {
+        const ReplicaHealth& h = health_[s * num_replicas_ + r];
+        if (!h.poisoned) lowest_ack = std::min(lowest_ack, h.last_acked_seq);
+      }
+      wal_[s].TrimThrough(lowest_ack);
+      wal_bytes += wal_[s].size_bytes();
+    }
+    g_wal_bytes_->Set(static_cast<int64_t>(wal_bytes));
   }
   for (const auto& [s, r] : stragglers) RequestCatchUp(s, r);
   return added_count;
@@ -882,55 +899,6 @@ Result<uint64_t> Coordinator::ProbeAppliedSeq(size_t shard,
   return health->last_applied_seq;
 }
 
-std::vector<IngestLogRecord> Coordinator::FetchMissing(
-    size_t shard, size_t exclude, uint64_t from_seq) const {
-  // Prefer a currency-holding peer: it holds the full committed history
-  // by definition and serves the read without the coordinator's corpus
-  // lock. (A stale peer is useless — its window ends where its own
-  // catch-up does.)
-  int peer = -1;
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mu_);
-    uint64_t head = shard_head_[shard];
-    for (size_t r = 0; r < num_replicas_; ++r) {
-      if (r == exclude) continue;
-      const ReplicaHealth& h = health_[shard * num_replicas_ + r];
-      if (h.poisoned || h.dead || h.last_acked_seq != head) continue;
-      peer = static_cast<int>(r);
-      break;
-    }
-  }
-  if (peer >= 0) {
-    FetchRequest freq;
-    freq.from_seq = from_seq;
-    freq.max_bytes = kCatchupFetchBytes;
-    auto resp = CallShard(shard, Encode(freq), peer,
-                          options_.catchup_attempts,
-                          /*hedging_allowed=*/false);
-    if (resp.ok()) {
-      auto decoded = DecodeFetchResponse(*resp);
-      if (decoded.ok() && !decoded->records.empty() &&
-          decoded->records.front().seq == from_seq) {
-        // The wire decode bounds-checked the bytes and enforced seq
-        // contiguity; this checks each record really is the ingest
-        // frame its seq claims before it gets replayed anywhere.
-        bool valid = true;
-        for (const auto& rec : decoded->records) {
-          auto req = DecodeIngestRequest(rec.payload);
-          if (!req.ok() || req->seq != rec.seq) {
-            valid = false;
-            break;
-          }
-        }
-        if (valid) return std::move(decoded->records);
-      }
-    }
-  }
-  // Fall back to the coordinator's own staged log.
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return wal_[shard].Read(from_seq, kCatchupFetchBytes);
-}
-
 bool Coordinator::CatchUpOne(size_t shard, size_t replica) {
   const size_t idx = shard * num_replicas_ + replica;
   {
@@ -970,11 +938,16 @@ bool Coordinator::CatchUpOne(size_t shard, size_t replica) {
       head = shard_head_[shard];
     }
     if (applied >= head) break;
-    auto records = FetchMissing(shard, replica, applied + 1);
-    if (records.empty() || records.front().seq != applied + 1) {
+    std::vector<IngestLogRecord> records;
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      records = wal_[shard].Read(applied + 1, kCatchupReadBytes);
+    }
+    if (records.empty()) {
       DS_LOG(Warning) << "catch-up for replica " << replica << " of shard "
                       << shard << " stalled at seq " << applied
-                      << ": no source retains batch " << (applied + 1);
+                      << ": the ingest log no longer holds batch "
+                      << (applied + 1);
       healed = false;
       break;
     }
@@ -1084,6 +1057,7 @@ CoordinatorStats Coordinator::stats() const {
   snapshot.catchup_bytes = c_catchup_bytes_->Value();
   const int64_t dead = g_replicas_dead_->Value();
   snapshot.replicas_dead = dead > 0 ? static_cast<uint64_t>(dead) : 0;
+  snapshot.wal_bytes = static_cast<uint64_t>(g_wal_bytes_->Value());
   std::lock_guard<std::mutex> lock(telemetry_mu_);
   snapshot.rpc_p50_ms = latency_ms_.Quantile(0.50);
   snapshot.rpc_p95_ms = latency_ms_.Quantile(0.95);

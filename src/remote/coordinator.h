@@ -55,18 +55,19 @@
 // newly flags, and token lengths are all computable coordinator-side),
 // so no ack can change the outcome, only confirm it. Replicas that
 // miss the batch become stale stragglers, healed by the background
-// catch-up worker: it streams the missed batches from a
-// currency-holding peer (Fetch frames) or the coordinator's own log,
-// replays them through the idempotent seq path, and re-admits the
-// replica to serving once its acked seq matches the shard head — at
-// which point it is byte-identical to replicas that never failed.
-// Ingest holds the writer lock end to end, so it serializes with
-// queries exactly like ShardedIndex's writer does.
+// catch-up worker: it replays the missed batches from that log through
+// the replica's idempotent seq path, and re-admits the replica to
+// serving once its acked seq matches the shard head — at which point
+// it is byte-identical to replicas that never failed. The log is the
+// only replay source (shard servers keep no journal), and it holds only
+// what some replica still lacks: each ingest trims a shard's log
+// through the lowest ack among its non-poisoned replicas. Ingest holds
+// the writer lock end to end, so it serializes with queries exactly
+// like ShardedIndex's writer does.
 
 #ifndef DEEPSURF_REMOTE_COORDINATOR_H_
 #define DEEPSURF_REMOTE_COORDINATOR_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -114,14 +115,6 @@ struct CoordinatorOptions {
   /// one query run on these; the calling thread always takes shard 0, so
   /// a small pool degrades throughput, never progress.
   size_t fanout_threads = 0;
-  /// Duplicate-suppression policy; must match the servers'
-  /// ShardServerOptions::index for the equivalence contract to hold.
-  bool suppress_duplicates = true;
-  /// Retention of the coordinator's per-shard write-ahead logs (batches
-  /// staged before dispatch; the replay source of last resort). A
-  /// replica staler than the oldest retained record everywhere cannot
-  /// be healed and stays excluded — budget accordingly.
-  IngestLogOptions wal;
   /// RPC attempts per replayed batch / per catch-up probe.
   size_t catchup_attempts = 3;
   /// Tracer coordinator-owned traces are sampled into (obs/trace.h);
@@ -152,6 +145,10 @@ struct CoordinatorStats {
   uint64_t replicas_rejoined = 0;  ///< stale replicas made current by catch-up
   uint64_t batches_replayed = 0;   ///< batches re-applied during catch-up
   uint64_t catchup_bytes = 0;      ///< payload bytes replayed during catch-up
+  /// Encoded size of the per-shard ingest logs: the batches some
+  /// non-poisoned replica has not acked (0 when every replica is current
+  /// as of the last ingest). A level, refreshed by each ingest.
+  uint64_t wal_bytes = 0;
   /// Latency snapshot of recent successful shard RPCs (milliseconds).
   double rpc_p50_ms = 0.0;
   double rpc_p95_ms = 0.0;
@@ -231,12 +228,12 @@ class Coordinator : public index::WritableIndex {
 
   // --- Replica catch-up & rejoin. ---
 
-  /// Hands a replica to the background catch-up worker, which streams
-  /// the batches it missed (from a current peer, or the coordinator's
-  /// own write-ahead log) and re-admits it to serving once its acked
-  /// seq matches the shard head. Idempotent and cheap when the replica
-  /// is already current. Wire FlakyTransport::SetReviveListener here so
-  /// every revival rejoins through this path.
+  /// Hands a replica to the background catch-up worker, which replays
+  /// the batches it missed from the coordinator's per-shard ingest log
+  /// and re-admits it to serving once its acked seq matches the shard
+  /// head. Idempotent and cheap when the replica is already current.
+  /// Wire FlakyTransport::SetReviveListener here so every revival
+  /// rejoins through this path.
   void RequestCatchUp(size_t shard, size_t replica);
 
   /// Enqueues every currently-stale replica (a sweep for "heal whatever
@@ -246,8 +243,8 @@ class Coordinator : public index::WritableIndex {
   /// Blocks until the catch-up queue is drained and no catch-up is in
   /// flight. timeout_ms == 0 waits indefinitely. Returns false on
   /// timeout. Note "drained" is not "healed": a replica whose catch-up
-  /// failed (unreachable, or history trimmed past its position) stays
-  /// stale — ProbeHealth tells them apart.
+  /// failed (unreachable, or diverged) stays stale — ProbeHealth tells
+  /// them apart.
   bool WaitForCatchUp(double timeout_ms = 0.0) const;
 
   /// Memory accounting of the cluster's logical corpus: one health
@@ -312,14 +309,9 @@ class Coordinator : public index::WritableIndex {
   void CatchUpLoop();
   /// Drives one replica from wherever it is to the shard head. Returns
   /// true when the replica ends current (possibly having been so all
-  /// along); false when it could not be healed this round (unreachable,
-  /// history trimmed, or diverged).
+  /// along); false when it could not be healed this round (unreachable
+  /// or diverged).
   bool CatchUpOne(size_t shard, size_t replica);
-  /// The missed batches from `from_seq` on, from a currency-holding
-  /// peer if one answers, else from the coordinator's own log. Empty
-  /// when neither retains them.
-  std::vector<IngestLogRecord> FetchMissing(size_t shard, size_t exclude,
-                                            uint64_t from_seq) const;
   /// Probes one replica (pinned) for its true last applied seq.
   Result<uint64_t> ProbeAppliedSeq(size_t shard, size_t replica) const;
 
@@ -357,8 +349,8 @@ class Coordinator : public index::WritableIndex {
   };
   std::unordered_map<std::string, TermDf> term_df_;
   uint64_t total_length_ = 0;  ///< content tokens across the corpus
-  /// Per-shard write-ahead log of staged batches: the coordinator's own
-  /// replay source when no current peer can serve a Fetch.
+  /// Per-shard write-ahead log of staged batches that some non-poisoned
+  /// replica has not acked: the one source catch-up replays from.
   std::vector<IngestLog> wal_;
 
   /// Replica health, latency tracking, and counters. Separate from mu_
@@ -394,7 +386,11 @@ class Coordinator : public index::WritableIndex {
   mutable stats::PercentileTracker latency_ms_;
   mutable double hedge_delay_cache_ms_ = 0.0;
   mutable uint64_t hedge_delay_refresh_at_ = 0;  ///< next total() to recompute at
-  mutable std::atomic<uint64_t> rotation_{0};  ///< primary-replica rotation
+  /// Per-shard primary-replica rotation. One counter per shard: a
+  /// shared one hands a query's shard calls consecutive values, which
+  /// pins each shard to one replica whenever the shard count is a
+  /// multiple of the replica count.
+  mutable std::vector<uint64_t> rotation_;
 
   /// Registry-backed counters (CoordinatorStats is their snapshot view).
   obs::MetricsRegistry metrics_;
@@ -413,6 +409,7 @@ class Coordinator : public index::WritableIndex {
   obs::Counter* c_batches_replayed_;
   obs::Counter* c_catchup_bytes_;
   obs::Gauge* g_replicas_dead_;  ///< a level, not a census: goes both ways
+  obs::Gauge* g_wal_bytes_;      ///< CoordinatorStats::wal_bytes
   obs::LatencyHistogram* h_rpc_ms_;  ///< winning search-RPC latencies
 
   // Catch-up worker: one background thread draining (shard, replica)

@@ -55,8 +55,6 @@ void EncodeRecord(std::string* out, const IngestLogRecord& rec) {
 
 }  // namespace
 
-IngestLog::IngestLog(IngestLogOptions options) : options_(options) {}
-
 Status IngestLog::Append(uint64_t seq, std::string payload) {
   if (seq == 0) {
     return Status::InvalidArgument("ingest log seq 0 is reserved for 'none'");
@@ -71,18 +69,13 @@ Status IngestLog::Append(uint64_t seq, std::string payload) {
   rec.payload = std::move(payload);
   size_bytes_ += EncodedSize(rec);
   records_.push_back(std::move(rec));
-  TrimToBudget();
   return Status::OK();
 }
 
-void IngestLog::TrimToBudget() {
-  if (options_.retain_bytes == 0) return;
-  // The newest record always stays: a log that can't hold even one
-  // record would journal nothing at all.
-  while (records_.size() > 1 && size_bytes_ > options_.retain_bytes) {
+void IngestLog::TrimThrough(uint64_t seq) {
+  while (!records_.empty() && records_.front().seq <= seq) {
     size_bytes_ -= EncodedSize(records_.front());
     records_.pop_front();
-    ++records_trimmed_;
   }
 }
 
@@ -116,7 +109,6 @@ std::string IngestLog::Serialize() const {
 IngestLog::RecoveryReport IngestLog::Restore(const std::string& image) {
   records_.clear();
   size_bytes_ = 0;
-  records_trimmed_ = 0;
 
   RecoveryReport report;
   size_t pos = 0;

@@ -1,15 +1,19 @@
 // Copyright 2026 The deepsurf Authors.
 //
 // The per-shard write-ahead ingest log: an append-only, checksummed,
-// sequence-numbered record of every ingest batch a node has applied (or,
-// on the coordinator, staged). This is the durability substrate of the
-// distributed layer's recovery story:
-//   * a shard server appends each applied batch's request frame, so a
-//     stale peer can stream the batches it missed (the Fetch frames in
-//     remote/wire.h) and re-apply them through the idempotent seq path;
-//   * the coordinator appends each batch *before* dispatching it, so a
-//     partially-acked batch is driven to completion by replay instead of
-//     rolled back — ingest is exactly-once from the caller's view.
+// sequence-numbered record of the ingest batches a coordinator has
+// committed to a shard but not yet seen every replica acknowledge. It is
+// the one source the distributed layer's recovery replays from:
+//   * the coordinator appends each batch's request frame *before*
+//     dispatching it, so a partially-acked batch is driven to completion
+//     by replay instead of rolled back — ingest is exactly-once from the
+//     caller's view;
+//   * catch-up streams a stale replica the records it missed, and the
+//     replica re-applies them through its idempotent seq path;
+//   * once every live replica has acked a batch, no replay can need it,
+//     and the coordinator trims the head through the lowest ack
+//     (`TrimThrough`). A stale or dead replica holds the log at its last
+//     ack, so the log is exactly the history some replica still lacks.
 //
 // Record layout (little-endian, fixed-width — same discipline as the
 // wire format):
@@ -21,19 +25,18 @@
 //
 // Sequence numbers are strictly consecutive (`Append` refuses gaps), so
 // a log image is a contiguous window [first_seq, last_seq] of the
-// shard's batch history. Retention is by byte budget: oldest records are
-// trimmed first, and the newest record is always retained, so the log
-// can answer "replay from seq N" exactly when N falls inside the window.
+// shard's batch history, and the log can answer "replay from seq N"
+// exactly when N falls inside the window.
 //
-// Recovery (`Restore`) is a bounds-checked scan that never trusts the
-// image: a torn or truncated tail — short header, bad magic, payload
-// running past the end, checksum mismatch, or a seq break — ends the
-// scan at the last intact record. The valid prefix is kept, the tail is
-// rejected and reported, never silently half-applied.
+// `Serialize` and `Restore` are the log's recovery format. Recovery is a
+// bounds-checked scan that never trusts the image: a torn or truncated
+// tail — short header, bad magic, payload running past the end, checksum
+// mismatch, or a seq break — ends the scan at the last intact record.
+// The valid prefix is kept, the tail is rejected and reported, never
+// silently half-applied.
 //
-// The class does no locking; callers synchronize it with the state it
-// journals (the shard server holds its index lock, the coordinator its
-// corpus lock).
+// The class does no locking; the coordinator guards each shard's log
+// with its corpus lock.
 
 #ifndef DEEPSURF_REMOTE_INGEST_LOG_H_
 #define DEEPSURF_REMOTE_INGEST_LOG_H_
@@ -49,15 +52,8 @@
 namespace deepsurf {
 namespace remote {
 
-struct IngestLogOptions {
-  /// Byte budget for retained records (headers + payloads). When an
-  /// append pushes the log past it, whole records are trimmed from the
-  /// head; the record just appended is never trimmed. 0 = unbounded.
-  size_t retain_bytes = 0;
-};
-
-/// One retained record: a batch seq and the exact frame bytes that were
-/// applied under it.
+/// One retained record: a batch seq and the exact ingest frame bytes
+/// committed under it.
 struct IngestLogRecord {
   uint64_t seq = 0;
   std::string payload;
@@ -78,8 +74,6 @@ class IngestLog {
   /// u32 + checksum u64 (see the layout diagram above).
   static constexpr size_t kHeaderBytes = 4 + 8 + 4 + 8;
 
-  explicit IngestLog(IngestLogOptions options = {});
-
   /// Appends one record. `seq` must be exactly last_seq() + 1 on a
   /// non-empty log (any positive seq seeds an empty one — a log restored
   /// mid-history starts wherever its window starts).
@@ -92,8 +86,11 @@ class IngestLog {
   /// Oldest / newest retained seq; 0 when empty.
   uint64_t first_seq() const { return records_.empty() ? 0 : records_.front().seq; }
   uint64_t last_seq() const { return records_.empty() ? 0 : records_.back().seq; }
-  /// Records trimmed by the retention budget since construction/Restore.
-  uint64_t records_trimmed() const { return records_trimmed_; }
+  /// Drops every record with seq <= `seq` (the head of the window that
+  /// every replica has acked). A seq before the window is a no-op; one
+  /// at or past last_seq() empties the log, and the next Append may then
+  /// seed it at any positive seq.
+  void TrimThrough(uint64_t seq);
 
   /// Contiguous records starting exactly at `from_seq`, up to
   /// `max_payload_bytes` of payload (at least one record when available,
@@ -114,12 +111,8 @@ class IngestLog {
   RecoveryReport Restore(const std::string& image);
 
  private:
-  void TrimToBudget();
-
-  IngestLogOptions options_;
   std::deque<IngestLogRecord> records_;
   size_t size_bytes_ = 0;
-  uint64_t records_trimmed_ = 0;
 };
 
 }  // namespace remote

@@ -4,26 +4,18 @@
 #include <utility>
 
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace deepsurf {
 namespace remote {
 
-namespace {
-/// Largest payload-byte budget one Fetch response will carry, however
-/// much the peer asked for (bounds response frames).
-constexpr size_t kMaxFetchBytes = 4u << 20;
-}  // namespace
-
 ShardServer::ShardServer(ShardServerOptions options)
-    : options_(options), index_(options.index), wal_(options.wal) {
+    : options_(options), index_(options.index) {
   c_served_ = metrics_.counter("shard.served");
   c_rejected_ = metrics_.counter("shard.rejected");
   c_cancelled_ = metrics_.counter("shard.cancelled");
   c_searches_ = metrics_.counter("shard.searches");
   c_ingest_batches_ = metrics_.counter("shard.ingest_batches");
   c_ingest_replays_ = metrics_.counter("shard.ingest_replays");
-  c_fetches_ = metrics_.counter("shard.fetches");
   c_health_checks_ = metrics_.counter("shard.health_checks");
   c_decode_errors_ = metrics_.counter("shard.decode_errors");
   g_queue_depth_ = metrics_.gauge("shard.queue_depth");
@@ -116,8 +108,6 @@ Result<std::string> ShardServer::Handle(const std::string& request,
       return HandleIngest(request);
     case MessageType::kHealthRequest:
       return HandleHealth(request);
-    case MessageType::kFetchRequest:
-      return HandleFetch(request);
     default:
       return Status::InvalidArgument("frame is a response, not a request");
   }
@@ -214,10 +204,6 @@ Result<std::string> ShardServer::HandleIngest(const std::string& request) {
   last_applied_seq_ = req->seq;
   last_ingest_request_hash_ = request_hash;
   last_ingest_response_ = Encode(resp);
-  // Journal the applied batch verbatim: the WAL's window is what this
-  // node can stream to a catching-up peer. Append cannot fail here —
-  // the seq discipline above guarantees consecutive appends.
-  DS_CHECK_OK(wal_.Append(req->seq, request));
   c_ingest_batches_->Inc();
   return last_ingest_response_;
 }
@@ -231,9 +217,6 @@ Result<std::string> ShardServer::HandleHealth(const std::string& request) {
     resp.num_docs = index_.num_docs();
     resp.epoch = index_.ingest_epoch();
     resp.last_applied_seq = last_applied_seq_;
-    resp.wal_first_seq = wal_.first_seq();
-    resp.wal_last_seq = wal_.last_seq();
-    resp.wal_bytes = wal_.size_bytes();
     // Memory accounting walks every posting list and the dictionary —
     // only on request, so plain liveness probes stay O(1). Search
     // counters are O(1) reads and always travel.
@@ -251,24 +234,6 @@ Result<std::string> ShardServer::HandleHealth(const std::string& request) {
   return Encode(resp);
 }
 
-Result<std::string> ShardServer::HandleFetch(const std::string& request) {
-  auto req = DecodeFetchRequest(request);
-  if (!req.ok()) return req.status();
-  c_fetches_->Inc();
-  size_t budget = kMaxFetchBytes;
-  if (req->max_bytes > 0) {
-    budget = std::min<size_t>(budget, static_cast<size_t>(req->max_bytes));
-  }
-  FetchResponse resp;
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    resp.head_seq = last_applied_seq_;
-    resp.log_first_seq = wal_.first_seq();
-    resp.records = wal_.Read(req->from_seq, budget);
-  }
-  return Encode(resp);
-}
-
 ShardServerStats ShardServer::stats() const {
   ShardServerStats snapshot;
   snapshot.served = c_served_->Value();
@@ -277,17 +242,11 @@ ShardServerStats ShardServer::stats() const {
   snapshot.searches = c_searches_->Value();
   snapshot.ingest_batches = c_ingest_batches_->Value();
   snapshot.ingest_replays = c_ingest_replays_->Value();
-  snapshot.fetches = c_fetches_->Value();
   snapshot.health_checks = c_health_checks_->Value();
   snapshot.decode_errors = c_decode_errors_->Value();
   std::lock_guard<std::mutex> lock(mu_);
   snapshot.queue_depth = queue_.size();
   return snapshot;
-}
-
-std::string ShardServer::WalImageForTesting() const {
-  std::shared_lock<std::shared_mutex> lock(index_mu_);
-  return wal_.Serialize();
 }
 
 void ShardServer::PauseForTesting() {

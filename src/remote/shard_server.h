@@ -19,10 +19,9 @@
 //     once in order, and a re-sent seq (a retry whose response was lost)
 //     replays the stored response without touching the index. Replicas
 //     fed the same batch sequence therefore hold bit-identical indexes.
-//   * Every applied batch's request frame is journaled in a write-ahead
-//     ingest log (remote/ingest_log.h), and Fetch frames serve the
-//     retained window to peers — how a stale replica streams the
-//     batches it missed from a currency-holding one and rejoins.
+//     The server keeps no journal of its own: a replica that missed
+//     batches is healed by the coordinator, which replays them from its
+//     per-shard ingest log (remote/ingest_log.h) through this same path.
 //   * The queue is bounded: when it is full, Enqueue fails fast with
 //     ResourceExhausted instead of buffering unboundedly — backpressure
 //     the coordinator turns into retries elsewhere.
@@ -48,7 +47,6 @@
 
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
-#include "remote/ingest_log.h"
 #include "remote/wire.h"
 #include "util/result.h"
 
@@ -64,9 +62,6 @@ struct ShardServerOptions {
   /// Scoring options for the local index. Must match the coordinator's
   /// (and every replica's) or results will differ between replicas.
   index::IndexOptions index;
-  /// Retention of the write-ahead ingest log this server keeps of its
-  /// applied batches (serves peer catch-up via Fetch frames).
-  IngestLogOptions wal;
 };
 
 /// Cumulative counters of one server (all since construction). A thin
@@ -79,7 +74,6 @@ struct ShardServerStats {
   uint64_t searches = 0;
   uint64_t ingest_batches = 0;  ///< batches applied (replays not counted)
   uint64_t ingest_replays = 0;  ///< idempotent re-sends answered from cache
-  uint64_t fetches = 0;         ///< catch-up log reads served to peers
   uint64_t health_checks = 0;
   uint64_t decode_errors = 0;
   size_t queue_depth = 0;       ///< snapshot at stats() time
@@ -124,10 +118,6 @@ class ShardServer {
   void PauseForTesting();
   void ResumeForTesting();
 
-  /// Snapshot of the write-ahead log's durable image (tests: torn-tail
-  /// recovery wants real bytes to corrupt).
-  std::string WalImageForTesting() const;
-
  private:
   struct PendingRequest {
     std::string bytes;
@@ -148,7 +138,6 @@ class ShardServer {
                                    uint64_t queue_us);
   Result<std::string> HandleIngest(const std::string& request);
   Result<std::string> HandleHealth(const std::string& request);
-  Result<std::string> HandleFetch(const std::string& request);
 
   const ShardServerOptions options_;
 
@@ -161,7 +150,6 @@ class ShardServer {
                                            ///< seq must carry the same
                                            ///< batch bytes
   std::string last_ingest_response_;  ///< replayed for a re-sent seq
-  IngestLog wal_;  ///< applied batches, served to catching-up peers
 
   mutable std::mutex mu_;  ///< queue + lifecycle
   std::condition_variable cv_;
@@ -178,7 +166,6 @@ class ShardServer {
   obs::Counter* c_searches_;
   obs::Counter* c_ingest_batches_;
   obs::Counter* c_ingest_replays_;
-  obs::Counter* c_fetches_;
   obs::Counter* c_health_checks_;
   obs::Counter* c_decode_errors_;
   obs::Gauge* g_queue_depth_;

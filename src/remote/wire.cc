@@ -76,6 +76,14 @@ struct Reader {
     return v;
   }
 
+  /// A flag byte: 0 or 1. Any other value would decode but re-encode
+  /// differently, so it poisons the read.
+  bool GetBool() {
+    uint8_t v = GetU8();
+    if (v > 1) ok = false;
+    return v == 1;
+  }
+
   double GetDouble() {
     uint64_t bits = GetU64();
     double v = 0.0;
@@ -140,11 +148,11 @@ Result<MessageType> PeekType(const std::string& frame) {
     case MessageType::kIngestResponse:
     case MessageType::kHealthRequest:
     case MessageType::kHealthResponse:
-    case MessageType::kFetchRequest:
-    case MessageType::kFetchResponse:
       return type;
     case MessageType::kStatsRequest:
     case MessageType::kStatsResponse:
+    case MessageType::kFetchRequest:
+    case MessageType::kFetchResponse:
       return Malformed("retired message type");
   }
   return Malformed("unknown message type");
@@ -193,6 +201,10 @@ Result<SearchRequest> DecodeSearchRequest(const std::string& frame) {
     msg.trace_id = r.GetU64();
     msg.parent_span = r.GetU64();
     msg.trace_flags = r.GetU8();
+    // Encode writes the tail only for a nonzero trace_id.
+    if (r.ok && msg.trace_id == 0) {
+      return Malformed("SearchRequest trace tail with trace_id 0");
+    }
   }
   if (!r.Done()) return Malformed("truncated SearchRequest");
   return msg;
@@ -272,7 +284,7 @@ Result<IngestRequest> DecodeIngestRequest(const std::string& frame) {
     d.url = r.GetString();
     d.title = r.GetString();
     d.body = r.GetString();
-    d.is_deep_web = r.GetU8() != 0;
+    d.is_deep_web = r.GetBool();
     d.source_host = r.GetString();
     msg.docs.push_back(std::move(d));
   }
@@ -339,7 +351,7 @@ Result<HealthRequest> DecodeHealthRequest(const std::string& frame) {
     return Malformed("not a HealthRequest");
   }
   HealthRequest msg;
-  msg.include_memory = r.GetU8() != 0;
+  msg.include_memory = r.GetBool();
   if (!r.Done()) return Malformed("truncated HealthRequest");
   return msg;
 }
@@ -354,9 +366,6 @@ std::string Encode(const HealthResponse& msg) {
   PutU64(&out, msg.requests_served);
   PutU64(&out, msg.requests_rejected);
   PutU64(&out, msg.requests_cancelled);
-  PutU64(&out, msg.wal_first_seq);
-  PutU64(&out, msg.wal_last_seq);
-  PutU64(&out, msg.wal_bytes);
   PutU64(&out, msg.memory.posting_doc_raw_bytes);
   PutU64(&out, msg.memory.posting_doc_packed_bytes);
   PutU64(&out, msg.memory.posting_weight_bytes);
@@ -385,9 +394,6 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& frame) {
   msg.requests_served = r.GetU64();
   msg.requests_rejected = r.GetU64();
   msg.requests_cancelled = r.GetU64();
-  msg.wal_first_seq = r.GetU64();
-  msg.wal_last_seq = r.GetU64();
-  msg.wal_bytes = r.GetU64();
   msg.memory.posting_doc_raw_bytes = r.GetU64();
   msg.memory.posting_doc_packed_bytes = r.GetU64();
   msg.memory.posting_weight_bytes = r.GetU64();
@@ -401,66 +407,6 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& frame) {
   msg.search.blocks_skipped = r.GetU64();
   msg.search.decode_cache_hits = r.GetU64();
   if (!r.Done()) return Malformed("truncated HealthResponse");
-  return msg;
-}
-
-std::string Encode(const FetchRequest& msg) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MessageType::kFetchRequest));
-  PutU64(&out, msg.from_seq);
-  PutU64(&out, msg.max_bytes);
-  return out;
-}
-
-Result<FetchRequest> DecodeFetchRequest(const std::string& frame) {
-  Reader r(frame);
-  if (!CheckType(&r, MessageType::kFetchRequest)) {
-    return Malformed("not a FetchRequest");
-  }
-  FetchRequest msg;
-  msg.from_seq = r.GetU64();
-  msg.max_bytes = r.GetU64();
-  if (!r.Done()) return Malformed("truncated FetchRequest");
-  return msg;
-}
-
-std::string Encode(const FetchResponse& msg) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MessageType::kFetchResponse));
-  PutU64(&out, msg.head_seq);
-  PutU64(&out, msg.log_first_seq);
-  PutU32(&out, static_cast<uint32_t>(msg.records.size()));
-  for (const auto& rec : msg.records) {
-    PutU64(&out, rec.seq);
-    PutString(&out, rec.payload);
-  }
-  return out;
-}
-
-Result<FetchResponse> DecodeFetchResponse(const std::string& frame) {
-  Reader r(frame);
-  if (!CheckType(&r, MessageType::kFetchResponse)) {
-    return Malformed("not a FetchResponse");
-  }
-  FetchResponse msg;
-  msg.head_seq = r.GetU64();
-  msg.log_first_seq = r.GetU64();
-  uint32_t n = r.GetCount(12);  // seq + the payload's length prefix
-  msg.records.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok; ++i) {
-    IngestLogRecord rec;
-    rec.seq = r.GetU64();
-    rec.payload = r.GetString();
-    msg.records.push_back(std::move(rec));
-  }
-  if (!r.Done()) return Malformed("truncated FetchResponse");
-  // Catch-up replays these in order through the seq-checked ingest
-  // path; a non-contiguous window is malformed, not a caller problem.
-  for (size_t i = 1; i < msg.records.size(); ++i) {
-    if (msg.records[i].seq != msg.records[i - 1].seq + 1) {
-      return Malformed("FetchResponse records are not seq-contiguous");
-    }
-  }
   return msg;
 }
 

@@ -3,10 +3,9 @@
 // Deterministic binary wire format for the shard-serving RPC boundary.
 // Every message a coordinator and a shard server exchange — search
 // requests (carrying the corpus-wide BM25 statistics that keep sharded
-// scoring exact), scored-hit responses, replicated ingest batches,
-// catch-up fetches, and health probes — is encoded as one
-// self-describing frame: a MessageType byte followed by fixed-layout
-// little-endian fields.
+// scoring exact), scored-hit responses, replicated ingest batches, and
+// health probes — is encoded as one self-describing frame: a
+// MessageType byte followed by fixed-layout little-endian fields.
 //
 // The format is designed for the repo's signature contract (distribution
 // must not change a single result bit):
@@ -16,12 +15,15 @@
 //   * integers are fixed-width little-endian, strings are
 //     length-prefixed byte runs — no locale, no text formatting, no
 //     platform-dependent layout;
-//   * encoding the same message twice yields the same bytes, so frames
-//     can be compared, cached, and replayed (ingest idempotence keys on
-//     this).
+//   * encoding is canonical both ways: encoding the same message twice
+//     yields the same bytes, and a frame that decodes re-encodes to
+//     exactly its own bytes (flags are 0 or 1, optional tails appear
+//     only when set), so frames can be compared, hashed, and replayed
+//     (the shard server's ingest replay guard hashes them).
 //
 // Decoders never trust the peer: every read is bounds-checked and a
-// malformed or truncated frame yields InvalidArgument, not UB.
+// malformed, truncated, or non-canonical frame yields InvalidArgument,
+// not UB.
 
 #ifndef DEEPSURF_REMOTE_WIRE_H_
 #define DEEPSURF_REMOTE_WIRE_H_
@@ -32,7 +34,6 @@
 
 #include "index/inverted_index.h"
 #include "index/search_index.h"
-#include "remote/ingest_log.h"
 #include "util/result.h"
 
 namespace deepsurf {
@@ -51,6 +52,8 @@ enum class MessageType : uint8_t {
   kIngestResponse = 6,
   kHealthRequest = 7,
   kHealthResponse = 8,
+  /// Retired with the shard servers' journals (catch-up replays from the
+  /// coordinator's log alone); rejected and reserved like kStats*.
   kFetchRequest = 9,
   kFetchResponse = 10,
 };
@@ -63,7 +66,8 @@ enum class MessageType : uint8_t {
 /// [trace_id, parent_span, trace_flags] section. An untraced request
 /// (trace_id == 0) omits the section entirely, so its bytes are
 /// identical to pre-trace frames — and decoders accept both forms, so
-/// old frames stay decodable.
+/// old frames stay decodable. A tail that carries trace_id 0 is
+/// rejected: it would re-encode without the tail.
 struct SearchRequest {
   std::vector<std::string> terms;
   uint64_t k = 0;
@@ -109,28 +113,6 @@ struct IngestResponse {
   std::vector<uint32_t> lengths;
 };
 
-/// Asks a node for the ingest batches a stale replica missed: the
-/// retained write-ahead log records (remote/ingest_log.h) from
-/// `from_seq` onward. This is the catch-up protocol's read side — the
-/// coordinator streams these to a revived replica, which re-applies
-/// them through the ordinary idempotent ingest path.
-struct FetchRequest {
-  uint64_t from_seq = 0;   ///< first batch seq wanted
-  uint64_t max_bytes = 0;  ///< payload-byte budget; 0 = server default
-};
-
-/// The answering node's batch window plus the records themselves.
-/// `records` starts exactly at the requested seq and is contiguous; it
-/// is empty when the request fell outside the retained window —
-/// `log_first_seq` then tells the caller whether the history was
-/// trimmed (from_seq < log_first_seq) or never written (from_seq >
-/// head_seq).
-struct FetchResponse {
-  uint64_t head_seq = 0;       ///< server's last applied batch seq
-  uint64_t log_first_seq = 0;  ///< oldest retained record; 0 = log empty
-  std::vector<IngestLogRecord> records;
-};
-
 struct HealthRequest {
   /// When set, the response carries the index's memory accounting —
   /// an O(vocabulary) walk on the server, so plain liveness probes
@@ -153,11 +135,6 @@ struct HealthResponse {
   uint64_t requests_served = 0;
   uint64_t requests_rejected = 0;
   uint64_t requests_cancelled = 0;
-  /// Write-ahead log window (remote/ingest_log.h): the batch history
-  /// this node can still serve to a catching-up peer, and its cost.
-  uint64_t wal_first_seq = 0;  ///< oldest retained record; 0 = log empty
-  uint64_t wal_last_seq = 0;
-  uint64_t wal_bytes = 0;
   index::IndexMemoryUsage memory;
   index::SearchStats search;
 };
@@ -172,8 +149,6 @@ std::string Encode(const IngestRequest& msg);
 std::string Encode(const IngestResponse& msg);
 std::string Encode(const HealthRequest& msg);
 std::string Encode(const HealthResponse& msg);
-std::string Encode(const FetchRequest& msg);
-std::string Encode(const FetchResponse& msg);
 
 Result<SearchRequest> DecodeSearchRequest(const std::string& frame);
 Result<SearchResponse> DecodeSearchResponse(const std::string& frame);
@@ -181,8 +156,6 @@ Result<IngestRequest> DecodeIngestRequest(const std::string& frame);
 Result<IngestResponse> DecodeIngestResponse(const std::string& frame);
 Result<HealthRequest> DecodeHealthRequest(const std::string& frame);
 Result<HealthResponse> DecodeHealthResponse(const std::string& frame);
-Result<FetchRequest> DecodeFetchRequest(const std::string& frame);
-Result<FetchResponse> DecodeFetchResponse(const std::string& frame);
 
 }  // namespace remote
 }  // namespace deepsurf

@@ -1,10 +1,10 @@
 // Durable-ingest and recovery tests: the write-ahead ingest log's
-// record discipline (checksums, consecutive seqs, budget trimming,
-// torn-tail rejection), the Fetch catch-up frames, and the full
-// kill -> miss-batches -> revive -> catch-up -> rejoin cycle at several
-// shard x replica shapes — always against the byte-identity contract: a
-// replica that failed and recovered must serve exactly what a replica
-// that never failed serves.
+// record discipline (checksums, consecutive seqs, trimming acked
+// history, torn-tail rejection), the shard server's seq discipline, and
+// the full kill -> miss-batches -> revive -> catch-up -> rejoin cycle at
+// several shard x replica shapes — always against the byte-identity
+// contract: a replica that failed and recovered must serve exactly what
+// a replica that never failed serves.
 
 #include <gtest/gtest.h>
 
@@ -80,24 +80,35 @@ TEST(IngestLogTest, RefusesZeroAndNonConsecutiveSeqs) {
   EXPECT_EQ(log.last_seq(), 8u);
 }
 
-TEST(IngestLogTest, TrimsHeadToBudgetButNeverTheNewestRecord) {
-  IngestLogOptions opts;
-  opts.retain_bytes = 280;  // roughly two records of 100 + header
-  IngestLog log(opts);
-  for (uint64_t s = 1; s <= 6; ++s) {
+TEST(IngestLogTest, TrimThroughDropsOnlyTheAckedHead) {
+  IngestLog log;
+  for (uint64_t s = 1; s <= 5; ++s) {
     ASSERT_TRUE(log.Append(s, std::string(100, 'a' + char(s))).ok());
   }
-  EXPECT_GT(log.records_trimmed(), 0u);
-  EXPECT_LE(log.size_bytes(), 280u);
-  EXPECT_EQ(log.last_seq(), 6u);
-  EXPECT_GT(log.first_seq(), 1u);
-  // Trimmed history is gone: a read from before the window is empty.
-  EXPECT_TRUE(log.Read(1, 1 << 20).empty());
-  // A record bigger than the whole budget still survives as the sole
-  // newest record (the log must always be able to serve its head).
-  ASSERT_TRUE(log.Append(7, std::string(1000, 'z')).ok());
-  EXPECT_EQ(log.num_records(), 1u);
-  EXPECT_EQ(log.first_seq(), 7u);
+  log.TrimThrough(0);  // nothing acked yet
+  EXPECT_EQ(log.num_records(), 5u);
+  log.TrimThrough(2);
+  EXPECT_EQ(log.first_seq(), 3u);
+  EXPECT_EQ(log.last_seq(), 5u);
+  EXPECT_EQ(log.size_bytes(), 3 * (IngestLog::kHeaderBytes + 100));
+  // Trimmed history is gone; what a replica still lacks is intact.
+  EXPECT_TRUE(log.Read(2, 1 << 20).empty());
+  auto kept = log.Read(3, 1 << 20);
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[0].payload, std::string(100, 'a' + char(3)));
+  // A seq behind the window changes nothing.
+  log.TrimThrough(1);
+  EXPECT_EQ(log.first_seq(), 3u);
+  // Through the head: empty, and the next batch seeds the log again.
+  log.TrimThrough(5);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.size_bytes(), 0u);
+  EXPECT_EQ(log.first_seq(), 0u);
+  ASSERT_TRUE(log.Append(6, "six").ok());
+  EXPECT_EQ(log.first_seq(), 6u);
+  EXPECT_FALSE(log.Append(8, "gap").ok());
+  log.TrimThrough(100);  // past the head
+  EXPECT_TRUE(log.empty());
 }
 
 TEST(IngestLogTest, SerializeRestoreRoundTripsExactly) {
@@ -162,49 +173,7 @@ TEST(IngestLogTest, CorruptedBytesEndTheScan) {
   EXPECT_EQ(report.dropped_bytes, corrupt.size());
 }
 
-// --- Fetch wire frames. ---
-
-TEST(FetchWireTest, RoundTripsAndRejectsTruncation) {
-  FetchRequest req;
-  req.from_seq = 42;
-  req.max_bytes = 4096;
-  auto rq = DecodeFetchRequest(Encode(req));
-  ASSERT_TRUE(rq.ok()) << rq.status();
-  EXPECT_EQ(rq->from_seq, 42u);
-  EXPECT_EQ(rq->max_bytes, 4096u);
-
-  FetchResponse resp;
-  resp.head_seq = 9;
-  resp.log_first_seq = 7;
-  resp.records.push_back({7, "frame-seven"});
-  resp.records.push_back({8, std::string("\x00\x01", 2)});
-  resp.records.push_back({9, ""});
-  std::string frame = Encode(resp);
-  auto rp = DecodeFetchResponse(frame);
-  ASSERT_TRUE(rp.ok()) << rp.status();
-  EXPECT_EQ(rp->head_seq, 9u);
-  EXPECT_EQ(rp->log_first_seq, 7u);
-  ASSERT_EQ(rp->records.size(), 3u);
-  EXPECT_EQ(rp->records[1].payload, std::string("\x00\x01", 2));
-
-  for (size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(DecodeFetchResponse(frame.substr(0, len)).ok())
-        << "prefix of length " << len << " decoded as valid";
-  }
-  EXPECT_FALSE(DecodeFetchResponse(frame + "x").ok());
-}
-
-TEST(FetchWireTest, NonContiguousRecordsAreMalformed) {
-  FetchResponse resp;
-  resp.head_seq = 5;
-  resp.log_first_seq = 3;
-  resp.records.push_back({3, "a"});
-  resp.records.push_back({5, "b"});  // gap: 4 is missing
-  EXPECT_FALSE(DecodeFetchResponse(Encode(resp)).ok())
-      << "a seq gap in a catch-up stream must not decode";
-}
-
-// --- ShardServer: journaling, Fetch serving, and seq discipline. ---
+// --- ShardServer: the seq discipline replay relies on. ---
 
 /// Synchronously round-trips one frame through a server's queue.
 Result<std::string> CallSync(ShardServer* server, std::string frame) {
@@ -235,36 +204,7 @@ std::string IngestFrame(uint64_t seq, const std::string& tag) {
   return Encode(req);
 }
 
-TEST(ShardServerWalTest, JournalsAppliedBatchesAndServesFetch) {
-  ShardServer server;
-  ASSERT_TRUE(CallSync(&server, IngestFrame(1, "one")).ok());
-  ASSERT_TRUE(CallSync(&server, IngestFrame(2, "two")).ok());
-
-  FetchRequest freq;
-  freq.from_seq = 1;
-  auto resp = CallSync(&server, Encode(freq));
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  auto fetched = DecodeFetchResponse(*resp);
-  ASSERT_TRUE(fetched.ok()) << fetched.status();
-  EXPECT_EQ(fetched->head_seq, 2u);
-  EXPECT_EQ(fetched->log_first_seq, 1u);
-  ASSERT_EQ(fetched->records.size(), 2u);
-  // The journal holds the request frames verbatim: replaying them into
-  // a fresh server reproduces the index exactly.
-  EXPECT_EQ(fetched->records[0].payload, IngestFrame(1, "one"));
-  EXPECT_EQ(fetched->records[1].payload, IngestFrame(2, "two"));
-
-  ShardServer replica;
-  for (const auto& rec : fetched->records) {
-    ASSERT_TRUE(CallSync(&replica, rec.payload).ok());
-  }
-  EXPECT_EQ(replica.index().num_docs(), server.index().num_docs());
-  ExpectSameHits(server.index().Search("alpha", 10),
-                 replica.index().Search("alpha", 10), "replayed replica");
-  EXPECT_GT(server.stats().fetches, 0u);
-}
-
-TEST(ShardServerWalTest, ReusedSeqWithDifferentBytesIsRefused) {
+TEST(ShardServerIngestTest, ReusedSeqWithDifferentBytesIsRefused) {
   ShardServer server;
   ASSERT_TRUE(CallSync(&server, IngestFrame(1, "one")).ok());
   // Same seq, different contents: refused loudly, index untouched.
@@ -282,22 +222,21 @@ TEST(ShardServerWalTest, ReusedSeqWithDifferentBytesIsRefused) {
   EXPECT_TRUE(gap.status().IsFailedPrecondition());
 }
 
-TEST(ShardServerWalTest, WalImageSurvivesTornTailRestore) {
+TEST(ShardServerIngestTest, RetiredFetchFramesAreRejected) {
+  // Servers keep no journal: a peer asking for one (the retired Fetch
+  // frame, type 9) gets a decode error, and the index is untouched.
   ShardServer server;
   ASSERT_TRUE(CallSync(&server, IngestFrame(1, "one")).ok());
-  ASSERT_TRUE(CallSync(&server, IngestFrame(2, "two")).ok());
-  std::string image = server.WalImageForTesting();
-
-  // A crash mid-write leaves a torn tail; recovery keeps the intact
-  // prefix and the node re-fetches the rest from a peer.
-  IngestLog recovered;
-  auto report = recovered.Restore(image.substr(0, image.size() - 3));
-  EXPECT_TRUE(report.torn_tail);
-  ASSERT_EQ(report.records, 1u);
-  EXPECT_EQ(recovered.last_seq(), 1u);
-  auto intact = recovered.Read(1, 1 << 20);
-  ASSERT_EQ(intact.size(), 1u);
-  EXPECT_EQ(intact[0].payload, IngestFrame(1, "one"));
+  for (MessageType retired :
+       {MessageType::kFetchRequest, MessageType::kFetchResponse}) {
+    std::string frame(1, static_cast<char>(retired));
+    frame += std::string(16, '\0');  // the old request's two u64 fields
+    auto resp = CallSync(&server, frame);
+    ASSERT_FALSE(resp.ok());
+    EXPECT_TRUE(resp.status().IsInvalidArgument());
+  }
+  EXPECT_EQ(server.index().num_docs(), 1u);
+  EXPECT_EQ(server.stats().decode_errors, 2u);
 }
 
 // --- Coordinator: the full kill -> miss -> revive -> rejoin cycle. ---
@@ -525,9 +464,9 @@ TEST(CatchUpTest, ReviveWithoutListenerKeepsReplicaOutOfRotation) {
 }
 
 TEST(CatchUpTest, CoordinatorWalIsTheFallbackWhenNoPeerIsCurrent) {
-  // Every replica of the shard misses the batch: catch-up cannot fetch
-  // from a peer (none holds the history) and must replay from the
-  // coordinator's own staged log.
+  // Every replica of the shard misses the batch: no replica holds the
+  // history, and catch-up replays it from the coordinator's staged log,
+  // the one replay source.
   const auto base = MakeDocs(8, "base");
   const auto missed = MakeDocs(4, "late");
   index::InvertedIndex reference;
@@ -561,6 +500,45 @@ TEST(CatchUpTest, CoordinatorWalIsTheFallbackWhenNoPeerIsCurrent) {
     ExpectSameHits(reference.Search(q, 10), coordinator.Search(q, 10),
                    "coordinator-WAL fallback: " + q);
   }
+}
+
+TEST(CatchUpTest, IngestLogHoldsOnlyWhatAReplicaLacks) {
+  LoopbackTransport loopback(2, 2, {});
+  FlakyTransport flaky(&loopback, {});
+  Coordinator coordinator(&flaky, {});
+  flaky.SetReviveListener([&coordinator](size_t s, size_t r) {
+    coordinator.RequestCatchUp(s, r);
+  });
+  ASSERT_TRUE(coordinator.InsertBatch(MakeDocs(16, "base")).ok());
+  EXPECT_EQ(coordinator.stats().wal_bytes, 0u)
+      << "a batch every replica acked is never replayed, so not kept";
+
+  // Replica 1 of shard 0 dies; each batch it misses stays in the log.
+  flaky.Kill(0, 1);
+  size_t missed = 0;
+  uint64_t wal_bytes = 0;
+  for (const auto& d : MakeDocs(40, "late")) {
+    if (coordinator.ShardForUrl(d.url) != 0) continue;
+    ASSERT_TRUE(coordinator.InsertBatch({d}).ok());
+    ++missed;
+    const uint64_t now = coordinator.stats().wal_bytes;
+    EXPECT_GT(now, wal_bytes) << "missed batch " << missed;
+    wal_bytes = now;
+    if (missed == 3) break;
+  }
+  ASSERT_EQ(missed, 3u);
+  // Let the stragglers' catch-ups give up against the dead replica, so
+  // the one the revive starts replays every missed batch.
+  ASSERT_TRUE(coordinator.WaitForCatchUp(/*timeout_ms=*/10000.0));
+
+  flaky.Revive(0, 1);
+  ASSERT_TRUE(coordinator.WaitForCatchUp(/*timeout_ms=*/20000.0));
+  EXPECT_TRUE(AllReplicasCurrent(coordinator));
+  EXPECT_EQ(coordinator.stats().batches_replayed, missed);
+
+  // Every replica is current again: the next ingest trims the log empty.
+  ASSERT_TRUE(coordinator.InsertBatch(MakeDocs(6, "next")).ok());
+  EXPECT_EQ(coordinator.stats().wal_bytes, 0u);
 }
 
 }  // namespace

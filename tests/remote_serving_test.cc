@@ -736,6 +736,41 @@ TEST(RemoteServingTest, SlowReplicaIsHedgedAroundWithIdenticalResults) {
   (void)cancelled;  // informational: delivery timing decides if > 0
 }
 
+TEST(RemoteServingTest, EachShardSpreadsSearchesOverItsReplicas) {
+  // 2 shards x 2 replicas, where one rotation counter shared by every
+  // shard handed a query's two shard calls consecutive values and so
+  // pinned each shard to one replica.
+  std::vector<index::Document> docs;
+  for (int i = 0; i < 64; ++i) {
+    docs.push_back(index::Document{
+        "http://h" + std::to_string(i % 5) + ".example.com/p" +
+            std::to_string(i),
+        "t", "alpha beta word" + std::to_string(i), false,
+        "h" + std::to_string(i % 5) + ".example.com"});
+  }
+  for (size_t fanout : {1, 4}) {
+    SCOPED_TRACE("fanout_threads " + std::to_string(fanout));
+    LoopbackTransport loopback(2, 2, {});
+    CoordinatorOptions copts;
+    copts.hedging = false;
+    copts.fanout_threads = fanout;
+    Coordinator coordinator(&loopback, copts);
+    ASSERT_TRUE(coordinator.InsertBatch(docs).ok());
+    for (int i = 0; i < 400; ++i) {
+      (void)coordinator.Search("alpha word" + std::to_string(i % 64), 10);
+    }
+    for (size_t s = 0; s < 2; ++s) {
+      const double r0 =
+          static_cast<double>(loopback.server(s, 0).stats().searches);
+      const double r1 =
+          static_cast<double>(loopback.server(s, 1).stats().searches);
+      ASSERT_GE(r0 + r1, 400.0) << "shard " << s;
+      EXPECT_GE(r0 / (r0 + r1), 0.4) << "shard " << s;
+      EXPECT_LE(r0 / (r0 + r1), 0.6) << "shard " << s;
+    }
+  }
+}
+
 TEST(RemoteServingTest, ReplicasStayBitIdenticalUnderResponseDrops) {
   auto corpus = TestCorpus();
   auto docs = synthweb::EntityDocuments(corpus);
