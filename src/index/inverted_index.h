@@ -12,8 +12,8 @@
 // A block that fills up is sealed: a skip entry (last doc id, max
 // posting weight, byte offset) is recorded, and — with
 // IndexOptions::compress_postings — its doc ids are re-encoded as
-// fixed-width bit-packed gaps (index/bitpack_codec.h; SIMD-decoded
-// where the CPU allows). The newest postings of a term live in an
+// fixed-width bit-packed gaps (index/bitpack_codec.h; decoded with
+// 64-bit shift/mask loads). The newest postings of a term live in an
 // unsealed raw tail, so ingest stays append-only and interleaved
 // InsertBatch/search keeps working. Every posting's weight stays a raw
 // float in one parallel array, sealed or not, so both scorers read the

@@ -25,6 +25,28 @@ int HexValue(char c) {
   return -1;
 }
 
+void AppendEscape(char c, std::string* out) {
+  out->push_back('%');
+  out->push_back(HexDigit((static_cast<unsigned char>(c) >> 4) & 0xF));
+  out->push_back(HexDigit(static_cast<unsigned char>(c) & 0xF));
+}
+
+/// Escapes the decoded path bytes that Parse would not read back as
+/// themselves: space, and the '%', '+' and '?' that FormUrlDecode and
+/// the query split give meaning to. Every other byte passes through.
+std::string EncodePath(std::string_view path) {
+  std::string out;
+  out.reserve(path.size());
+  for (char c : path) {
+    if (c == ' ' || c == '%' || c == '+' || c == '?') {
+      AppendEscape(c, &out);
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string FormUrlEncode(std::string_view s) {
@@ -36,9 +58,7 @@ std::string FormUrlEncode(std::string_view s) {
     } else if (c == ' ') {
       out.push_back('+');
     } else {
-      out.push_back('%');
-      out.push_back(HexDigit((static_cast<unsigned char>(c) >> 4) & 0xF));
-      out.push_back(HexDigit(static_cast<unsigned char>(c) & 0xF));
+      AppendEscape(c, &out);
     }
   }
   return out;
@@ -122,6 +142,11 @@ Result<Url> Url::Parse(std::string_view s) {
     url.port_ = static_cast<int>(*port);
     hostport = hostport.substr(0, colon);
   }
+  // A host left empty or still holding ':' once the port is split off
+  // ("http://:0/", "http://h:0:0/") would print as a different URL.
+  if (hostport.empty() || hostport.find(':') != std::string_view::npos) {
+    return Status::InvalidArgument("bad host in URL: " + std::string(s));
+  }
   url.host_ = strings::ToLower(hostport);
   if (path_start != std::string_view::npos &&
       (query_start == std::string_view::npos || path_start < query_start)) {
@@ -191,8 +216,7 @@ std::string Url::ToString() const {
     out.push_back(':');
     out.append(std::to_string(port_));
   }
-  // Path characters: encode spaces only; synthetic paths are tame.
-  out += strings::ReplaceAll(path_, " ", "%20");
+  out += EncodePath(path_);
   if (!query_.empty()) {
     out.push_back('?');
     out += EncodeQuery(query_);

@@ -28,7 +28,8 @@ class Url {
  public:
   Url() = default;
 
-  /// Parses an absolute URL. Fails on missing scheme/host.
+  /// Parses an absolute URL. Fails on a missing scheme or host, a bad
+  /// port, or a host that still holds ':' once the port is split off.
   static Result<Url> Parse(std::string_view s);
 
   /// Resolves `ref` (possibly relative) against base `base`. Handles
@@ -58,7 +59,8 @@ class Url {
   bool HasParam(std::string_view key) const;
 
   /// Canonical string form: lowercased scheme/host, percent-encoded path
-  /// and query, parameters in insertion order.
+  /// and query, parameters in insertion order. For a URL that Parse or
+  /// Resolve produced, Parse reads it back to the same ToString().
   std::string ToString() const;
 
   /// Canonical form with query parameters sorted by key then value; two

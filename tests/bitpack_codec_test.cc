@@ -1,12 +1,11 @@
 // Fuzz and edge-case tests for the fixed-width bit-packed posting
 // codec: round-trips over every bit width 0..32 and across block sizes
-// (including non-multiples of the SIMD group sizes, so the scalar tail
-// handoff inside the SIMD kernels is exercised), rejection of truncated
-// and hostile buffers without reading past the end, exact consumed-size
-// reporting when the buffer continues with more data (as the index's
-// concatenated block stream does), and — the contract that makes
-// runtime dispatch unobservable — bit-identical output from every
-// compiled kernel on the same input.
+// (including sizes whose payload ends mid-byte and blocks shorter than
+// one 64-bit load), seeded round trips over random widths, sizes and
+// bases, rejection of truncated and hostile buffers without reading
+// past the end, and exact consumed-size reporting when the buffer
+// continues with more data (as the index's concatenated block stream
+// does). tests/codec_mutation_test.cc mutates encoded blocks.
 
 #include <gtest/gtest.h>
 
@@ -69,9 +68,7 @@ TEST(BitpackCodecTest, RoundTripsEveryWidthAndAwkwardSizes) {
   }
 }
 
-TEST(BitpackCodecTest, EveryCompiledKernelDecodesIdentically) {
-  const auto kernels = CompiledBitpackKernels();
-  ASSERT_FALSE(kernels.empty());
+TEST(BitpackCodecTest, SeededRandomBlocksRoundTrip) {
   Rng rng(2026);
   for (int iter = 0; iter < 400; ++iter) {
     const uint32_t width = static_cast<uint32_t>(rng.Uniform(33));
@@ -81,25 +78,13 @@ TEST(BitpackCodecTest, EveryCompiledKernelDecodesIdentically) {
     std::vector<uint8_t> packed;
     EncodeBitpackBlock(docs.data(), n, base, &packed);
 
-    std::vector<uint32_t> reference(n);
-    const size_t used = DecodeBitpackBlockWith(
-        BitpackKernel::kScalar, packed.data(),
-        packed.data() + packed.size(), n, base, reference.data());
-    ASSERT_EQ(used, packed.size());
-    EXPECT_EQ(reference, docs);
-
-    for (BitpackKernel k : kernels) {
-      if (k == BitpackKernel::kScalar) continue;
-      std::vector<uint32_t> out(n, 0xabababab);
-      const size_t kused =
-          DecodeBitpackBlockWith(k, packed.data(),
-                                 packed.data() + packed.size(), n, base,
-                                 out.data());
-      ASSERT_EQ(kused, used) << BitpackKernelName(k) << " iter " << iter;
-      EXPECT_EQ(out, reference)
-          << BitpackKernelName(k) << " iter " << iter << " width " << width
-          << " n " << n;
-    }
+    std::vector<uint32_t> decoded(n, 0xabababab);
+    const size_t used =
+        DecodeBitpackBlock(packed.data(), packed.data() + packed.size(), n,
+                           base, decoded.data());
+    ASSERT_EQ(used, packed.size()) << "iter " << iter;
+    EXPECT_EQ(decoded, docs)
+        << "iter " << iter << " width " << width << " n " << n;
   }
 }
 
@@ -112,23 +97,18 @@ TEST(BitpackCodecTest, TruncatedBuffersAreRejectedNotRead) {
     EncodeBitpackBlock(docs.data(), n, 0, &packed);
     std::vector<uint32_t> out(n + 1);
     // Every strict prefix, including the bare width byte and the empty
-    // buffer, must be rejected by every compiled kernel.
-    for (BitpackKernel k : CompiledBitpackKernels()) {
-      for (size_t len = 0; len < packed.size(); ++len) {
-        EXPECT_EQ(DecodeBitpackBlockWith(k, packed.data(),
-                                         packed.data() + len, n, 0,
-                                         out.data()),
-                  0u)
-            << BitpackKernelName(k) << " width " << width << " prefix "
-            << len;
-      }
-      // Asking for one more value than the payload holds is truncation
-      // too (the width byte implies the exact payload size).
-      EXPECT_EQ(DecodeBitpackBlockWith(k, packed.data(),
-                                       packed.data() + packed.size(), n + 1,
-                                       0, out.data()),
-                0u);
+    // buffer, must be rejected.
+    for (size_t len = 0; len < packed.size(); ++len) {
+      EXPECT_EQ(DecodeBitpackBlock(packed.data(), packed.data() + len, n, 0,
+                                   out.data()),
+                0u)
+          << "width " << width << " prefix " << len;
     }
+    // Asking for one more value than the payload holds is truncation
+    // too (the width byte implies the exact payload size).
+    EXPECT_EQ(DecodeBitpackBlock(packed.data(), packed.data() + packed.size(),
+                                 n + 1, 0, out.data()),
+              0u);
   }
   // A null/empty range never dereferences.
   uint32_t sink = 0;
@@ -138,12 +118,9 @@ TEST(BitpackCodecTest, TruncatedBuffersAreRejectedNotRead) {
 TEST(BitpackCodecTest, HostileWidthByteIsRejected) {
   std::vector<uint8_t> hostile = {33, 0xff, 0xff, 0xff, 0xff};
   uint32_t out[4];
-  for (BitpackKernel k : CompiledBitpackKernels()) {
-    EXPECT_EQ(DecodeBitpackBlockWith(k, hostile.data(),
-                                     hostile.data() + hostile.size(), 4, 0,
-                                     out),
-              0u);
-  }
+  EXPECT_EQ(DecodeBitpackBlock(hostile.data(),
+                               hostile.data() + hostile.size(), 4, 0, out),
+            0u);
   hostile[0] = 255;
   EXPECT_EQ(DecodeBitpackBlock(hostile.data(),
                                hostile.data() + hostile.size(), 4, 0, out),
@@ -197,18 +174,6 @@ TEST(BitpackCodecTest, DenseGapOneBlockPacksToOneBitPerPosting) {
                                128, 999, out.data()),
             0u);
   EXPECT_EQ(out, docs);
-}
-
-TEST(BitpackCodecTest, KernelOverrideIsHonoredAndClearable) {
-  const BitpackKernel active = ActiveBitpackKernel();
-  ASSERT_TRUE(SetBitpackKernelOverride(BitpackKernel::kScalar));
-  EXPECT_EQ(ActiveBitpackKernel(), BitpackKernel::kScalar);
-  ClearBitpackKernelOverride();
-  EXPECT_EQ(ActiveBitpackKernel(), active);
-  // Every compiled kernel reports a stable name.
-  for (BitpackKernel k : CompiledBitpackKernels()) {
-    EXPECT_STRNE(BitpackKernelName(k), "unknown");
-  }
 }
 
 }  // namespace

@@ -164,6 +164,26 @@ TEST(UrlParseTest, BadPortFails) {
   EXPECT_FALSE(Url::Parse("http://h.com:99999/x").ok());
 }
 
+TEST(UrlParseTest, HostHoldingAColonBesideThePortFails) {
+  // "h:0" with port 0 would print as "http://h:0/", which is host "h".
+  EXPECT_FALSE(Url::Parse("http://h:0:0/").ok());
+  EXPECT_FALSE(Url::Parse("http://h:1:2/").ok());
+  // An empty host with port 0 would print as "http:///x".
+  EXPECT_FALSE(Url::Parse("http://:0/x").ok());
+  EXPECT_TRUE(Url::Parse("http://h:0/").ok());
+}
+
+TEST(UrlToStringTest, DecodedPlusPercentAndQuestionMarkStayInThePath) {
+  auto url = Url::Parse("http://h/a%2Bb%25c%3Fd e");
+  ASSERT_TRUE(url.ok());
+  EXPECT_EQ(url->path(), "/a+b%c?d e");
+  EXPECT_EQ(url->ToString(), "http://h/a%2Bb%25c%3Fd%20e");
+  auto reparsed = Url::Parse(url->ToString());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(reparsed->path(), "/a+b%c?d e");
+  EXPECT_TRUE(reparsed->query().empty());
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace deepsurf

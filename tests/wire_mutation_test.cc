@@ -12,9 +12,7 @@
 //     hashed); for Restore, the kept prefix re-serializes to the image's
 //     prefix.
 //
-// Seeds: the base seed is gtest's random seed. It is 0 in a plain run;
-// under --gtest_shuffle --gtest_repeat=N each repeat draws a fresh one,
-// which gtest prints, and --gtest_random_seed=S replays it.
+// Seeds: see tests/mutation.h.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +20,7 @@
 #include <cstring>
 #include <string>
 
+#include "mutation.h"
 #include "remote/ingest_log.h"
 #include "remote/wire.h"
 #include "util/rng.h"
@@ -34,18 +33,10 @@ namespace {
 constexpr int kMessages = 64;
 constexpr int kRandomMutants = 128;
 
-/// One generator stream per decoder, derived from gtest's seed.
-Rng SeededRng(uint64_t salt) {
-  const auto seed = static_cast<uint64_t>(
-      ::testing::UnitTest::GetInstance()->random_seed());
-  return Rng(seed * 16 + salt);
-}
-
-std::string RandomBytes(Rng* rng, size_t max_len) {
-  std::string s(static_cast<size_t>(rng->Uniform(max_len + 1)), '\0');
-  for (char& c : s) c = static_cast<char>(rng->Uniform(256));
-  return s;
-}
+using mutation::Mutate;
+using mutation::RandomByte;
+using mutation::RandomBytes;
+using mutation::SeededRng;
 
 double RandomDouble(Rng* rng) {
   const uint64_t bits = rng->Next();
@@ -178,21 +169,7 @@ template <typename Check>
   }
   for (int i = 0; i < kRandomMutants; ++i) {
     std::string mutant = frame;
-    std::string how;
-    for (uint64_t edits = 1 + rng->Uniform(4); edits > 0; --edits) {
-      const size_t at = static_cast<size_t>(rng->Uniform(mutant.size() + 1));
-      const uint64_t kind = rng->Uniform(3);
-      if (kind == 0 && at < mutant.size()) {
-        mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng->Uniform(8)));
-        how += " flip@" + std::to_string(at);
-      } else if (kind == 1) {
-        mutant.insert(at, 1, static_cast<char>(rng->Uniform(256)));
-        how += " insert@" + std::to_string(at);
-      } else if (at < mutant.size()) {
-        mutant.erase(at, 1);
-        how += " delete@" + std::to_string(at);
-      }
-    }
+    const std::string how = Mutate(&mutant, rng, RandomByte);
     auto r = run(mutant, "edits" + how);
     if (!r) return r;
   }
