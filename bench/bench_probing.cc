@@ -178,11 +178,11 @@ int Run() {
 
 // E6b — probe scheduler fetch throughput and cache economy. The same
 // probe batch (with every URL repeated threefold, as overlapping
-// analyses would issue it) is pushed through the scheduler's worker pool
-// at 1/2/4/8 workers. Deduplication must hold the per-site network load
-// to the distinct-URL count at every worker count, and a second pass
-// must be answered entirely from the probe cache.
-int RunSchedulerSweep() {
+// analyses would issue it) goes through the scheduler's Fetch twice.
+// Deduplication must hold the cold pass's network load to the
+// distinct-URL count, and the warm pass must be answered entirely from
+// the probe cache.
+int RunProbeCachePasses() {
   bench::Header(
       "E6b: probe scheduler throughput and cache hit rate",
       "a deduplicating probe cache keeps analysis load light: repeated "
@@ -207,45 +207,35 @@ int RunSchedulerSweep() {
   }
   const size_t distinct = batch.size() / 3;
 
-  std::printf("%-9s %-11s %-13s %-12s %-12s %-10s\n", "workers", "cold s",
-              "fetches/s", "net fetches", "warm hits", "warm rate");
-  bool dedup_holds = true;
-  bool warm_all_hits = true;
-  for (size_t workers : {1, 2, 4, 8}) {
-    net::ProbeSchedulerOptions sopts;
-    sopts.num_workers = workers;
-    net::ProbeScheduler scheduler(&f->web, sopts);
+  net::ProbeScheduler scheduler(&f->web);
+  auto fetch_batch = [&] {
+    for (const auto& url : batch) DS_CHECK(scheduler.Fetch(url).ok());
+  };
+  auto start = std::chrono::steady_clock::now();
+  fetch_batch();
+  double cold_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  uint64_t net_fetches = scheduler.stats().cache_misses;
 
-    auto start = std::chrono::steady_clock::now();
-    auto cold = scheduler.FetchBatch(batch);
-    double cold_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    for (const auto& r : cold) DS_CHECK(r.ok());
-    uint64_t net_fetches = scheduler.stats().cache_misses;
+  uint64_t hits_before = scheduler.stats().cache_hits;
+  fetch_batch();
+  uint64_t warm_hits = scheduler.stats().cache_hits - hits_before;
 
-    uint64_t hits_before = scheduler.stats().cache_hits;
-    auto warm = scheduler.FetchBatch(batch);
-    for (const auto& r : warm) DS_CHECK(r.ok());
-    uint64_t warm_hits = scheduler.stats().cache_hits - hits_before;
+  std::printf("%-11s %-13s %-12s %-12s %-10s\n", "cold s", "fetches/s",
+              "net fetches", "warm hits", "warm rate");
+  std::printf("%-11.3f %-13.1f %-12llu %-12llu %6.1f%%\n", cold_s,
+              static_cast<double>(batch.size()) /
+                  (cold_s > 0 ? cold_s : 1e-9),
+              static_cast<unsigned long long>(net_fetches),
+              static_cast<unsigned long long>(warm_hits),
+              100.0 * static_cast<double>(warm_hits) /
+                  static_cast<double>(batch.size()));
 
-    if (net_fetches != distinct) dedup_holds = false;
-    if (warm_hits != batch.size()) warm_all_hits = false;
-    std::printf("%-9zu %-11.3f %-13.1f %-12llu %-12llu %6.1f%%\n", workers,
-                cold_s,
-                static_cast<double>(batch.size()) /
-                    (cold_s > 0 ? cold_s : 1e-9),
-                static_cast<unsigned long long>(net_fetches),
-                static_cast<unsigned long long>(warm_hits),
-                100.0 * static_cast<double>(warm_hits) /
-                    static_cast<double>(batch.size()));
-  }
-
-  bool ok = dedup_holds && warm_all_hits;
+  bool ok = net_fetches == distinct && warm_hits == batch.size();
   bench::Verdict(ok,
-                 "network fetches == distinct URLs at every worker count; "
-                 "warm pass served 100% from the probe cache");
+                 "network fetches == distinct URLs; warm pass served 100% "
+                 "from the probe cache");
   return ok ? 0 : 1;
 }
 
@@ -254,6 +244,6 @@ int RunSchedulerSweep() {
 
 int main() {
   int e6 = deepsurf::Run();
-  int e6b = deepsurf::RunSchedulerSweep();
+  int e6b = deepsurf::RunProbeCachePasses();
   return e6 != 0 ? e6 : e6b;
 }

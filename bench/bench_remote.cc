@@ -134,8 +134,7 @@ int Run(int argc, char** argv) {
 
   // --- Sweep 1: shards x replicas on a healthy loopback fabric. ---
   std::vector<GridRow> grid;
-  std::printf("\nhealthy fabric (serve::Engine cache off, tagged "
-              "distributed ingest):\n");
+  std::printf("\nhealthy fabric (serve::Engine cache off):\n");
   std::printf("%7s %9s | %9s %9s %9s | %7s %7s | %s\n", "shards", "replicas",
               "q/s", "p50 ms", "p99 ms", "rpcs", "hedges", "equal");
   for (size_t shards : {1u, 2u, 4u}) {
@@ -149,7 +148,6 @@ int Run(int argc, char** argv) {
       eopts.default_top_k = kTopK;
       eopts.tracer = &tracer;
       serve::Engine engine(&coordinator, eopts);
-      engine.SetIngestSource("distributed-ingest");
       DS_CHECK(coordinator.InsertBatch(docs).ok());
 
       bool identical = true;

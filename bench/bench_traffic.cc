@@ -798,7 +798,6 @@ int Run(int argc, char** argv) {
     eopts.default_top_k = kTopK;
     eopts.tracer = &tracer;
     serve::Engine engine(&sharded, eopts);
-    engine.SetIngestSource("surfacing-churn");
     TargetSetup t;
     t.name = "sharded-inproc";
     t.engine = &engine;
@@ -833,7 +832,6 @@ int Run(int argc, char** argv) {
     eopts.default_top_k = kTopK;
     eopts.tracer = &tracer;
     serve::Engine engine(&coordinator, eopts);
-    engine.SetIngestSource("surfacing-churn");
     TargetSetup t;
     t.name = "remote-coordinator";
     t.engine = &engine;

@@ -129,15 +129,12 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("index now has %zu docs (probe cache: %llu requests, %llu "
-              "hits, %.0f%% hit rate, %llu budget denials; %zu pages in "
-              "%.2fs)\n",
+              "hits, %.0f%% hit rate; %zu pages in %.2fs)\n",
               index.num_docs(),
               static_cast<unsigned long long>(stats->scheduler.requests),
               static_cast<unsigned long long>(stats->scheduler.cache_hits),
-              100.0 * stats->scheduler.HitRate(),
-              static_cast<unsigned long long>(
-                  stats->scheduler.budget_denials),
-              stats->pages_indexed, stats->wall_seconds);
+              100.0 * stats->scheduler.HitRate(), stats->pages_indexed,
+              stats->wall_seconds);
 
   // 5. A query about a *tail* record: only a surfaced page can answer.
   //    Users hit the serve engine, whose LRU result cache absorbs the

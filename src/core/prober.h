@@ -57,10 +57,10 @@ struct ProbeResult {
 
 /// Probe executor with per-form caching and budget accounting. All probe
 /// traffic flows through a ProbeScheduler (the shared fetch layer), which
-/// adds cross-form response caching, politeness budgets, and thread-safe
-/// host accounting underneath. One FormProber analyzes one form and is
-/// not itself thread-safe; concurrency happens at the form level, with
-/// many probers sharing one scheduler.
+/// adds cross-form response caching and in-flight coalescing underneath.
+/// One FormProber analyzes one form and is not itself thread-safe;
+/// concurrency happens at the form level, with many probers sharing one
+/// scheduler.
 class FormProber {
  public:
   /// Probes via `scheduler` (not owned; must outlive the prober).
@@ -88,8 +88,6 @@ class FormProber {
   size_t cache_hits() const { return cache_hits_; }
 
   const AnalyzedForm& form() const { return form_; }
-
-  net::ProbeScheduler* scheduler() { return scheduler_; }
 
  private:
   std::unique_ptr<net::ProbeScheduler> owned_scheduler_;

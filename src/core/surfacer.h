@@ -62,9 +62,6 @@ class Surfacer {
       const net::Url& page_url, const html::Form& form,
       const std::string& page_scripts = "");
 
-  const SurfacerOptions& options() const { return options_; }
-  net::ProbeScheduler* scheduler() { return scheduler_; }
-
  private:
   std::unique_ptr<net::ProbeScheduler> owned_scheduler_;
   net::ProbeScheduler* scheduler_;

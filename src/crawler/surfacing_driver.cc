@@ -134,12 +134,6 @@ Result<SurfacingDriverStats> SurfacingDriver::Run(
         "seed index must be distinct from the output index (unsynchronized "
         "reads against a growing index, and nondeterministic seeds)");
   }
-  if (scheduler_->options().per_host_budget != 0) {
-    return Status::InvalidArgument(
-        "a per-host fetch budget on the shared scheduler is consumed in "
-        "scheduling order and would make results depend on thread "
-        "interleaving; use the per-form probe budget instead");
-  }
   auto start = std::chrono::steady_clock::now();
   outcomes_.resize(forms.size());
 

@@ -3,7 +3,7 @@
 // The corpus-level surfacing driver: takes the crawler's DiscoveredForm
 // work-list and fans per-form analyses out across N worker threads, all
 // probing through one shared ProbeScheduler (cross-form probe cache,
-// per-host accounting) and batch-ingesting surfaced pages into any
+// in-flight coalescing) and batch-ingesting surfaced pages into any
 // thread-safe WritableIndex (a lone InvertedIndex or the sharded serving
 // index). This is the paper's deployment shape — one
 // offline system analyzing millions of forms with a light load on each
@@ -15,12 +15,9 @@
 // what other forms did), outcomes land in work-list order, and every
 // randomized decision draws from a per-form RNG stream derived from
 // (seed, form index) — never from a shared generator whose consumption
-// order would depend on scheduling.
-//
-// Caveat: the guarantee requires the shared scheduler's per_host_budget
-// to be 0 (unlimited). A nonzero budget is consumed in scheduling order,
-// so which probes get refused — and therefore each form's analysis —
-// would depend on thread interleaving. Run() rejects such a scheduler.
+// order would depend on scheduling. The shared scheduler refuses no
+// fetch, so sharing it changes what reaches a site, never what a form
+// sees.
 
 #ifndef DEEPSURF_CRAWLER_SURFACING_DRIVER_H_
 #define DEEPSURF_CRAWLER_SURFACING_DRIVER_H_

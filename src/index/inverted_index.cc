@@ -15,6 +15,10 @@ namespace index {
 
 namespace {
 
+/// BM25's term-frequency saturation (k1) and length normalization (b).
+constexpr double kBm25K1 = 1.2;
+constexpr double kBm25B = 0.75;
+
 /// One query term's score contribution to one document. Both the
 /// exhaustive and the maxscore path call exactly this expression, so a
 /// candidate's score is bit-for-bit the same however it was computed.
@@ -379,12 +383,8 @@ Result<DocId> InvertedIndex::AddDocumentLocked(const std::string& url,
                                                bool is_deep_web,
                                                const std::string& source_host) {
   uint64_t hash = Fnv1a64(body);
-  if (options_.suppress_duplicates) {
-    auto it = by_hash_.find(hash);
-    if (it != by_hash_.end()) {
-      return Result<DocId>(it->second);
-    }
-  }
+  auto dup = by_hash_.find(hash);
+  if (dup != by_hash_.end()) return Result<DocId>(dup->second);
   DocId id = static_cast<DocId>(docs_.size());
 
   // Single pass over the tokens: intern each term and accumulate its
@@ -395,7 +395,7 @@ Result<DocId> InvertedIndex::AddDocumentLocked(const std::string& url,
   weights.reserve(body_tokens.size());
   for (const auto& t : body_tokens) weights[InternLocked(t)] += 1.0;
   for (const auto& t : ContentTokens(title)) {
-    weights[InternLocked(t)] += options_.title_boost;
+    weights[InternLocked(t)] += kTitleBoost;
   }
 
   DocInfo info;
@@ -454,8 +454,8 @@ std::shared_ptr<const InvertedIndex::NormCache> InvertedIndex::Norms(
   cache->avg_len = avg_len;
   cache->num_docs = docs_.size();
   cache->norm.resize(docs_.size());
-  const double k1 = options_.bm25_k1;
-  const double b = options_.bm25_b;
+  const double k1 = kBm25K1;
+  const double b = kBm25B;
   for (size_t i = 0; i < cache->norm.size(); ++i) {
     double len = static_cast<double>(doc_lengths_[i]);
     cache->norm[i] = static_cast<float>(k1 * (1.0 - b + b * len / avg_len));
@@ -492,8 +492,8 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
   // in document length and float rounding preserves order, so the
   // shortest document's norm is exactly the smallest norm any document
   // scores with — no array scan needed for the bound floor.
-  const double k1 = options_.bm25_k1;
-  const double b = options_.bm25_b;
+  const double k1 = kBm25K1;
+  const double b = kBm25B;
   const double min_norm = static_cast<float>(
       k1 * (1.0 - b + b * static_cast<double>(min_length_) / avg_len));
   // A mis-sized term_df would silently fall back to shard-local
@@ -552,7 +552,7 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
 std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     const std::vector<QueryTerm>& query, const NormView& norms,
     size_t k) const {
-  const double k1 = options_.bm25_k1;
+  const double k1 = kBm25K1;
   const bool compressed = options_.compress_postings;
   const size_t block = options_.posting_block_size;
   thread_local ExhaustiveScratch scratch;
@@ -623,7 +623,7 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
 std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     std::vector<QueryTerm>& query, const NormView& norms, double min_norm,
     size_t k) const {
-  const double k1 = options_.bm25_k1;
+  const double k1 = kBm25K1;
   const size_t m = query.size();
   const uint32_t block = static_cast<uint32_t>(options_.posting_block_size);
   for (QueryTerm& qt : query) qt.cursor.Init(this, qt.postings);
@@ -971,7 +971,7 @@ float InvertedIndex::ForwardWeight(TermId tid, DocId d) const {
 
 double InvertedIndex::ScoreDocExact(const std::vector<QueryTerm>& query,
                                     const NormView& norms, DocId d) const {
-  const double k1 = options_.bm25_k1;
+  const double k1 = kBm25K1;
   const double norm = norms.Of(d);
   double score = 0.0;
   for (const QueryTerm& qt : query) {

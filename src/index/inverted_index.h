@@ -66,14 +66,14 @@ namespace index {
 /// Dense id of an interned term (per-index; assigned in first-seen order).
 using TermId = uint32_t;
 
-/// Options controlling scoring.
+/// Weight a title occurrence adds to its term's posting (a body
+/// occurrence adds 1).
+inline constexpr double kTitleBoost = 2.0;
+
+/// Options controlling the posting layout and the scorer's route.
+/// Scoring itself is fixed: BM25 with k1 = 1.2 and b = 0.75, and
+/// AddDocument refuses exact-duplicate content (same body hash).
 struct IndexOptions {
-  double bm25_k1 = 1.2;
-  double bm25_b = 0.75;
-  /// Weight multiplier for title-term matches.
-  double title_boost = 2.0;
-  /// When true, AddDocument refuses exact-duplicate content (same hash).
-  bool suppress_duplicates = true;
   /// When true, top-k queries run maxscore pruning; when false, the
   /// exhaustive scorer. Results are byte-identical either way (see the
   /// file comment); this is purely a performance knob for corpora or k
@@ -146,9 +146,10 @@ class InvertedIndex : public WritableIndex {
  public:
   explicit InvertedIndex(IndexOptions options = {});
 
-  /// Indexes a document; returns its DocId. With duplicate suppression on,
-  /// returns OK with the DocId of the already-indexed duplicate instead
-  /// of adding a new one (num_docs() does not grow). Thread-safe.
+  /// Indexes a document; returns its DocId. A document whose body
+  /// duplicates an indexed one returns OK with the DocId of the
+  /// already-indexed duplicate instead of adding a new one (num_docs()
+  /// does not grow). Thread-safe.
   Result<DocId> AddDocument(const std::string& url, const std::string& title,
                             const std::string& body, bool is_deep_web,
                             const std::string& source_host) override;

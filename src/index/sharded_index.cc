@@ -17,8 +17,8 @@ ShardedIndex::ShardedIndex(ShardedIndexOptions options)
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     // Global suppression (AddDocumentLocked) decides duplicates before a
-    // shard ever sees the document; shard-local suppression stays on as
-    // well, which is a no-op then but keeps shard(i) self-consistent.
+    // shard ever sees the document, so each shard's own suppression
+    // never fires.
     shards_.push_back(std::make_unique<InvertedIndex>(options_.index));
   }
   local_to_global_.resize(n);
@@ -86,18 +86,16 @@ Result<DocId> ShardedIndex::AddDocumentLocked(const Document& d,
                                               bool* added) {
   *added = false;
   uint64_t content_hash = Fnv1a64(d.body);
-  if (options_.index.suppress_duplicates) {
-    auto it = by_hash_.find(content_hash);
-    if (it != by_hash_.end()) return Result<DocId>(it->second);
-  }
+  auto dup = by_hash_.find(content_hash);
+  if (dup != by_hash_.end()) return Result<DocId>(dup->second);
   size_t s = ShardForUrl(d.url);
   size_t before = shards_[s]->num_docs();
   auto local = shards_[s]->AddDocument(d.url, d.title, d.body, d.is_deep_web,
                                        d.source_host);
   if (!local.ok()) return local.status();
   if (shards_[s]->num_docs() == before) {
-    // Shard-local duplicate (only reachable with suppression on; the
-    // global map would have caught it, so this is belt-and-braces).
+    // Shard-local duplicate (the global map would have caught it, so
+    // this is belt-and-braces).
     return Result<DocId>(local_to_global_[s][*local]);
   }
   DocId global = static_cast<DocId>(global_docs_.size());

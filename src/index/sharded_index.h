@@ -52,11 +52,12 @@ struct ShardedIndexOptions {
   /// Fan each query out to a persistent pool of per-shard search workers
   /// (one per shard beyond the first). Purely a latency knob: results
   /// are identical either way, and when the pool is busy with another
-  /// query the search simply scans shards on the calling thread — under
-  /// a many-threaded SearchBatch the workers assist whichever query
-  /// grabs them first.
+  /// query the search simply scans shards on the calling thread — with
+  /// many serving threads the workers assist whichever query grabs them
+  /// first.
   bool parallel_search = true;
-  /// Per-shard scoring options; suppress_duplicates is enforced globally.
+  /// Per-shard index options. Duplicate suppression is global (see the
+  /// file comment).
   IndexOptions index;
 };
 

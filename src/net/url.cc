@@ -18,6 +18,21 @@ bool IsUnreserved(char c) {
 char HexDigit(int v) { return v < 10 ? static_cast<char>('0' + v)
                                      : static_cast<char>('A' + v - 10); }
 
+/// True when `ref` starts with a scheme and then "://". A scheme is a
+/// letter followed by letters, digits, '+', '-' or '.', in either case.
+bool StartsWithScheme(std::string_view ref) {
+  if (ref.empty() || !std::isalpha(static_cast<unsigned char>(ref[0]))) {
+    return false;
+  }
+  size_t end = 1;
+  while (end < ref.size() &&
+         (std::isalnum(static_cast<unsigned char>(ref[end])) ||
+          ref[end] == '+' || ref[end] == '-' || ref[end] == '.')) {
+    ++end;
+  }
+  return ref.substr(end, 3) == "://";
+}
+
 int HexValue(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -164,7 +179,7 @@ Result<Url> Url::Parse(std::string_view s) {
 
 Result<Url> Url::Resolve(const Url& base, std::string_view ref) {
   if (ref.empty()) return base;
-  if (ref.find("://") != std::string_view::npos) return Parse(ref);
+  if (StartsWithScheme(ref)) return Parse(ref);
   Url out = base;
   out.query_.clear();
   if (ref[0] == '?') {

@@ -33,8 +33,10 @@ class Url {
   static Result<Url> Parse(std::string_view s);
 
   /// Resolves `ref` (possibly relative) against base `base`. Handles
-  /// absolute URLs, absolute paths ("/a/b"), relative paths ("b?x=1"),
-  /// and bare query strings ("?x=1").
+  /// absolute URLs (a scheme, then "://"), absolute paths ("/a/b"),
+  /// relative paths ("b?x=1") and bare query strings ("?x=1"). A "://"
+  /// that does not follow a leading scheme, as in "/go?next=http://x/",
+  /// belongs to a relative reference.
   static Result<Url> Resolve(const Url& base, std::string_view ref);
 
   const std::string& scheme() const { return scheme_; }

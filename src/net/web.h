@@ -4,8 +4,8 @@
 // registry of in-process servers keyed by hostname, fetched through a
 // single SimulatedWeb facade that also does what a polite crawler's
 // fetch layer must do: per-host request accounting (the paper's "light
-// load on underlying sites" claim is measured here), optional per-host
-// fetch budgets, and honest status codes.
+// load on underlying sites" claim is measured here) and honest status
+// codes.
 
 #ifndef DEEPSURF_NET_WEB_H_
 #define DEEPSURF_NET_WEB_H_

@@ -644,8 +644,8 @@ Result<size_t> Coordinator::IngestLocked(
   // Mirror of ShardedIndex::AddDocumentLocked, batch-wide: global ids in
   // insertion order, global duplicate suppression by content hash, URL-
   // hash routing. Everything is decided here; shards just apply. A
-  // server never receives a duplicate, so its acks hold whatever its
-  // own IndexOptions::suppress_duplicates says.
+  // server never receives a duplicate, so its own suppression never
+  // fires and its acks hold.
   std::vector<IngestRequest> batches(num_shards_);
   std::vector<std::vector<size_t>> batch_origin(num_shards_);
   std::vector<char> is_new(docs.size(), 0);

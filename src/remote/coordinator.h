@@ -145,7 +145,7 @@ struct CoordinatorStats {
   uint64_t replicas_rejoined = 0;  ///< stale replicas made current by catch-up
   uint64_t batches_replayed = 0;   ///< batches re-applied during catch-up
   uint64_t catchup_bytes = 0;      ///< payload bytes replayed during catch-up
-  /// Encoded size of the per-shard ingest logs: the batches some
+  /// Payload bytes held in the per-shard ingest logs: the batches some
   /// non-poisoned replica has not acked (0 when every replica is current
   /// as of the last ingest). A level, refreshed by each ingest.
   uint64_t wal_bytes = 0;
@@ -219,8 +219,6 @@ class Coordinator : public index::WritableIndex {
   /// This coordinator's own counters, all under the fixed "coord."
   /// prefix. No other instance writes to them.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// The tracer coordinator-owned traces are sampled into.
-  obs::Tracer* tracer() const { return tracer_; }
 
   /// Best-effort health sweep over every replica (one short-deadline
   /// probe each; dead-marked replicas are probed too, but not revived).

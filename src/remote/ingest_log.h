@@ -1,9 +1,9 @@
 // Copyright 2026 The deepsurf Authors.
 //
-// The per-shard write-ahead ingest log: an append-only, checksummed,
-// sequence-numbered record of the ingest batches a coordinator has
-// committed to a shard but not yet seen every replica acknowledge. It is
-// the one source the distributed layer's recovery replays from:
+// The per-shard ingest log: an in-memory, sequence-numbered replay
+// window of the ingest batches a coordinator has committed to a shard
+// but not yet seen every replica acknowledge. It is the one source the
+// distributed layer's recovery replays from:
 //   * the coordinator appends each batch's request frame *before*
 //     dispatching it, so a partially-acked batch is driven to completion
 //     by replay instead of rolled back — ingest is exactly-once from the
@@ -15,25 +15,11 @@
 //     (`TrimThrough`). A stale or dead replica holds the log at its last
 //     ack, so the log is exactly the history some replica still lacks.
 //
-// Record layout (little-endian, fixed-width — same discipline as the
-// wire format):
-//
-//   +--------+---------+--------------+------------------+-----------+
-//   | magic  | seq     | payload_size | checksum         | payload   |
-//   | u32    | u64     | u32          | u64 (FNV-1a 64)  | bytes     |
-//   +--------+---------+--------------+------------------+-----------+
-//
 // Sequence numbers are strictly consecutive (`Append` refuses gaps), so
-// a log image is a contiguous window [first_seq, last_seq] of the
-// shard's batch history, and the log can answer "replay from seq N"
-// exactly when N falls inside the window.
-//
-// `Serialize` and `Restore` are the log's recovery format. Recovery is a
-// bounds-checked scan that never trusts the image: a torn or truncated
-// tail — short header, bad magic, payload running past the end, checksum
-// mismatch, or a seq break — ends the scan at the last intact record.
-// The valid prefix is kept, the tail is rejected and reported, never
-// silently half-applied.
+// the log is a contiguous window [first_seq, last_seq] of the shard's
+// batch history, and it can answer "replay from seq N" exactly when N
+// falls inside the window. Nothing is written to disk: the log lives
+// and dies with its coordinator.
 //
 // The class does no locking; the coordinator guards each shard's log
 // with its corpus lock.
@@ -61,27 +47,14 @@ struct IngestLogRecord {
 
 class IngestLog {
  public:
-  /// What a Restore() scan found. `records` is the intact prefix kept;
-  /// `dropped_bytes` is the rejected tail (0 when the image was clean);
-  /// `torn_tail` marks that a rejection happened.
-  struct RecoveryReport {
-    size_t records = 0;
-    size_t dropped_bytes = 0;
-    bool torn_tail = false;
-  };
-
-  /// Fixed per-record header size: magic u32 + seq u64 + payload_size
-  /// u32 + checksum u64 (see the layout diagram above).
-  static constexpr size_t kHeaderBytes = 4 + 8 + 4 + 8;
-
   /// Appends one record. `seq` must be exactly last_seq() + 1 on a
-  /// non-empty log (any positive seq seeds an empty one — a log restored
-  /// mid-history starts wherever its window starts).
+  /// non-empty log (any positive seq seeds an empty one — after a trim
+  /// to empty, the window restarts wherever the next batch lands).
   Status Append(uint64_t seq, std::string payload);
 
   bool empty() const { return records_.empty(); }
   size_t num_records() const { return records_.size(); }
-  /// Encoded size of the retained window (headers + payloads).
+  /// Payload bytes of the retained window.
   size_t size_bytes() const { return size_bytes_; }
   /// Oldest / newest retained seq; 0 when empty.
   uint64_t first_seq() const { return records_.empty() ? 0 : records_.front().seq; }
@@ -100,15 +73,6 @@ class IngestLog {
   /// that replica".
   std::vector<IngestLogRecord> Read(uint64_t from_seq,
                                     size_t max_payload_bytes) const;
-
-  /// The log's durable image: every retained record in record layout.
-  std::string Serialize() const;
-
-  /// Replaces the log's contents with the intact prefix of `image`,
-  /// rejecting a torn/truncated tail (see file comment). The scan is
-  /// bounds-checked throughout: no field of a corrupt record is ever
-  /// used. Returns what was kept and what was rejected.
-  RecoveryReport Restore(const std::string& image);
 
  private:
   std::deque<IngestLogRecord> records_;

@@ -1,7 +1,5 @@
 #include "serve/engine.h"
 
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "index/analyzer.h"
@@ -31,9 +29,7 @@ Engine::Engine(const index::SearchIndex* index, EngineOptions options)
   c_cache_misses_ = metrics_.counter("serve.cache_misses");
   c_evictions_ = metrics_.counter("serve.evictions");
   c_invalidations_ = metrics_.counter("serve.invalidations");
-  c_batches_ = metrics_.counter("serve.batches");
   c_deadline_exceeded_ = metrics_.counter("serve.deadline_exceeded");
-  g_last_invalidation_epoch_ = metrics_.gauge("serve.last_invalidation_epoch");
   h_latency_ms_ = metrics_.histogram("serve.latency_ms");
 }
 
@@ -109,13 +105,6 @@ ServeResult Engine::SearchTraced(const std::string& query, size_t k,
         return ServeResult{it->second.hits, true};
       }
       c_invalidations_->Inc();
-      auto& by_source = invalidations_by_source_[ingest_source_];
-      if (by_source == nullptr) {
-        by_source = metrics_.counter("serve.invalidations.by_source." +
-                                     ingest_source_);
-      }
-      by_source->Inc();
-      g_last_invalidation_epoch_->Set(static_cast<int64_t>(epoch));
       EraseLocked(it);
     }
     c_cache_misses_->Inc();
@@ -163,59 +152,10 @@ ServeResult Engine::Search(const std::string& query, size_t k,
   return Search(query, k);
 }
 
-std::vector<ServeResult> Engine::SearchBatch(
-    const std::vector<std::string>& queries, size_t concurrency) {
-  return SearchBatchInternal(queries, concurrency, /*has_deadline=*/false,
-                             Deadline{});
-}
-
-std::vector<ServeResult> Engine::SearchBatch(
-    const std::vector<std::string>& queries, size_t concurrency,
-    double deadline_ms) {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(deadline_ms));
-  return SearchBatchInternal(queries, concurrency, /*has_deadline=*/true,
-                             deadline);
-}
-
-std::vector<ServeResult> Engine::SearchBatchInternal(
-    const std::vector<std::string>& queries, size_t concurrency,
-    bool has_deadline, Deadline deadline) {
-  c_batches_->Inc();
-  std::vector<ServeResult> results(queries.size());
-  std::atomic<size_t> cursor{0};
-  auto worker = [&] {
-    for (;;) {
-      size_t i = cursor.fetch_add(1);
-      if (i >= queries.size()) return;
-      results[i] = has_deadline
-                       ? Search(queries[i], options_.default_top_k, deadline)
-                       : Search(queries[i]);
-    }
-  };
-  if (concurrency < 2 || queries.size() < 2) {
-    worker();
-    return results;
-  }
-  size_t threads = std::min(concurrency, queries.size());
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
-  return results;
-}
-
 void Engine::EraseLocked(
     std::unordered_map<std::string, CacheEntry>::iterator it) {
   lru_.erase(it->second.lru_it);
   cache_.erase(it);
-}
-
-void Engine::SetIngestSource(std::string source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ingest_source_ = std::move(source);
 }
 
 EngineStats Engine::stats() const {
@@ -225,26 +165,13 @@ EngineStats Engine::stats() const {
   snapshot.cache_misses = c_cache_misses_->Value();
   snapshot.evictions = c_evictions_->Value();
   snapshot.invalidations = c_invalidations_->Value();
-  snapshot.batches = c_batches_->Value();
   snapshot.deadline_exceeded = c_deadline_exceeded_->Value();
-  snapshot.last_invalidation_epoch =
-      static_cast<uint64_t>(g_last_invalidation_epoch_->Value());
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [source, counter] : invalidations_by_source_) {
-    snapshot.invalidations_by_source[source] = counter->Value();
-  }
   return snapshot;
 }
 
 size_t Engine::cache_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.size();
-}
-
-void Engine::ClearCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  lru_.clear();
 }
 
 }  // namespace serve

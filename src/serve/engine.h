@@ -13,8 +13,8 @@
 //   * epoch-based invalidation: an entry remembers the index's
 //     ingest_epoch at fill time and is discarded the moment the index
 //     has grown past it, so a cached result is never stale;
-//   * SearchBatch(queries, concurrency): a worker pool answering a
-//     query batch with positional results.
+//   * per-request deadlines: a request admitted past its deadline is
+//     shed instead of searched.
 //
 // Serving and caching never change ranking: for any query stream the
 // engine's hits are byte-identical to calling the index directly.
@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -63,26 +62,16 @@ struct EngineOptions {
 /// A thin snapshot view over the engine's own registry (metrics()) —
 /// the registry is the source of truth, this struct is the stable API.
 struct EngineStats {
-  uint64_t queries = 0;        ///< Search calls (batch members included)
+  uint64_t queries = 0;        ///< Search calls
   uint64_t cache_hits = 0;     ///< served from the result cache
   uint64_t cache_misses = 0;   ///< went to the index
   uint64_t evictions = 0;      ///< LRU entries dropped
   uint64_t invalidations = 0;  ///< entries discarded because the index grew
-  uint64_t batches = 0;        ///< SearchBatch calls
   /// Requests shed with DeadlineExceeded: their deadline had already
-  /// passed when a worker picked them up (see Search with Deadline).
-  /// Under open-loop load this is the queueing-collapse signal — work
-  /// expires in the queue faster than it can be started.
+  /// passed at admission (see Search with Deadline). Under open-loop
+  /// load this is the queueing-collapse signal — work expires in the
+  /// queue faster than it can be started.
   uint64_t deadline_exceeded = 0;
-  /// Invalidations attributed to the ingest-source tag active when the
-  /// entry was discarded (SetIngestSource). Lets benches and operators
-  /// tell apart who grew the index — e.g. local crawling vs the remote
-  /// coordinator's replicated distributed ingest — when reading why the
-  /// cache churned.
-  std::map<std::string, uint64_t> invalidations_by_source;
-  /// Index ingest_epoch observed at the most recent invalidation (0 if
-  /// none yet): which corpus version evicted cached results last.
-  uint64_t last_invalidation_epoch = 0;
 
   double HitRate() const {
     return queries == 0 ? 0.0
@@ -116,7 +105,7 @@ class Engine {
   /// Answers one query (top k).
   ServeResult Search(const std::string& query, size_t k);
 
-  /// A per-request deadline for Search / SearchBatch.
+  /// A per-request deadline for Search.
   using Deadline = std::chrono::steady_clock::time_point;
 
   /// Answers one query (top k) unless `deadline` has already passed, in
@@ -130,34 +119,10 @@ class Engine {
   /// silently throttling the offered rate.
   ServeResult Search(const std::string& query, size_t k, Deadline deadline);
 
-  /// Answers a batch with `concurrency` worker threads (values < 2 run
-  /// on the calling thread). Results are positional. Identical queries
-  /// inside one batch are not coalesced; later ones simply hit the cache
-  /// when it is enabled.
-  std::vector<ServeResult> SearchBatch(const std::vector<std::string>& queries,
-                                       size_t concurrency);
-
-  /// As SearchBatch, but every request carries the same deadline:
-  /// `deadline_ms` after the batch was submitted (the whole batch enters
-  /// the queue at once, so submission is each request's arrival time). A
-  /// request a worker picks up past the deadline is shed with
-  /// DeadlineExceeded instead of searched — with a saturated worker pool
-  /// the tail of a too-large batch expires, which is how queueing
-  /// collapse becomes measurable instead of an unbounded stall.
-  std::vector<ServeResult> SearchBatch(const std::vector<std::string>& queries,
-                                       size_t concurrency, double deadline_ms);
-
   /// The normalized form of a query — the analyzer tokens joined by
   /// single spaces — which prefixes its cache key (the key also encodes
   /// k). Exposed for tests.
   static std::string NormalizeQuery(const std::string& query);
-
-  /// Tags subsequent ingest activity for invalidation accounting: cache
-  /// entries discarded from now on are attributed to `source` in
-  /// stats().invalidations_by_source. Callers set it when they switch
-  /// what is feeding the index (e.g. "crawl", "surfacing",
-  /// "distributed-ingest"); the default tag is "ingest".
-  void SetIngestSource(std::string source);
 
   /// Counter snapshot.
   EngineStats stats() const;
@@ -165,17 +130,9 @@ class Engine {
   /// This engine's own counters, all under the fixed "serve." prefix.
   /// No other instance writes to them.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// The tracer queries are sampled into.
-  obs::Tracer* tracer() const { return tracer_; }
 
   /// Entries currently cached.
   size_t cache_size() const;
-
-  /// Drops every cached result (counters are kept).
-  void ClearCache();
-
-  const index::SearchIndex* index() const { return index_; }
-  const EngineOptions& options() const { return options_; }
 
  private:
   struct CacheEntry {
@@ -191,22 +148,12 @@ class Engine {
   ServeResult SearchTraced(const std::string& query, size_t k,
                            obs::TraceContext* trace);
 
-  /// Shared batch worker-pool body; `deadline` applies per request when
-  /// `has_deadline` is set.
-  std::vector<ServeResult> SearchBatchInternal(
-      const std::vector<std::string>& queries, size_t concurrency,
-      bool has_deadline, Deadline deadline);
-
   const index::SearchIndex* index_;
   const EngineOptions options_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, CacheEntry> cache_;
   std::list<std::string> lru_;  ///< front = most recent
-  std::string ingest_source_ = "ingest";  ///< active invalidation tag
-  /// Per-source invalidation counters, created on first use (the
-  /// registry owns the Counter objects). Guarded by mu_.
-  std::map<std::string, obs::Counter*> invalidations_by_source_;
 
   /// Registry-backed counters (EngineStats is their snapshot view).
   obs::MetricsRegistry metrics_;
@@ -216,9 +163,7 @@ class Engine {
   obs::Counter* c_cache_misses_;
   obs::Counter* c_evictions_;
   obs::Counter* c_invalidations_;
-  obs::Counter* c_batches_;
   obs::Counter* c_deadline_exceeded_;
-  obs::Gauge* g_last_invalidation_epoch_;
   obs::LatencyHistogram* h_latency_ms_;
 };
 

@@ -242,15 +242,6 @@ TEST_F(IndexTest, DuplicateContentSuppressed) {
   EXPECT_EQ(index_.num_docs(), 1u);
 }
 
-TEST_F(IndexTest, DuplicateSuppressionCanBeDisabled) {
-  IndexOptions opts;
-  opts.suppress_duplicates = false;
-  InvertedIndex idx(opts);
-  (void)*idx.AddDocument("u1", "t", "same", false, "h");
-  (void)*idx.AddDocument("u2", "t", "same", false, "h");
-  EXPECT_EQ(idx.num_docs(), 2u);
-}
-
 TEST_F(IndexTest, ContainsContent) {
   Add("u1", "t", "some body");
   EXPECT_TRUE(index_.ContainsContent(Fnv1a64("some body")));
@@ -358,7 +349,7 @@ std::vector<std::string> ReferenceCharacteristicTerms(
     std::map<std::string, double> weights;
     for (const auto& t : ContentTokens(docs[d].body)) weights[t] += 1.0;
     for (const auto& t : ContentTokens(docs[d].title)) {
-      weights[t] += IndexOptions{}.title_boost;
+      weights[t] += kTitleBoost;
     }
     for (const auto& [term, w] : weights) {
       postings[term].emplace_back(d, static_cast<float>(w));

@@ -1,11 +1,12 @@
 // Tests for the probe scheduler: cache hit/miss/eviction accounting,
-// normalized-URL deduplication, per-host politeness budgets, and
-// concurrency safety of the shared fetch layer.
+// normalized-URL deduplication, in-flight coalescing, and concurrency
+// safety of the shared fetch layer.
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
-#include <set>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,29 +114,6 @@ TEST(ProbeSchedulerTest, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(web.TrafficFor("a.com").get_requests, 2u);
 }
 
-TEST(ProbeSchedulerTest, PerHostBudgetEnforced) {
-  SimulatedWeb web;
-  ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("a.com")).ok());
-  ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("b.com")).ok());
-  ProbeSchedulerOptions opts;
-  opts.per_host_budget = 2;
-  ProbeScheduler scheduler(&web, opts);
-
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=2")).ok());
-  auto denied = scheduler.Fetch(MakeUrl("http://a.com/?p=3"));
-  EXPECT_FALSE(denied.ok());
-  EXPECT_TRUE(denied.status().IsResourceExhausted());
-  // Cache hits stay free after exhaustion — that is the point of the
-  // budget counting only network fetches.
-  EXPECT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  // Another host: independent budget.
-  EXPECT_TRUE(scheduler.Fetch(MakeUrl("http://b.com/?p=1")).ok());
-  EXPECT_EQ(scheduler.HostFetches("a.com"), 2u);
-  EXPECT_EQ(scheduler.HostFetches("b.com"), 1u);
-  EXPECT_EQ(scheduler.stats().budget_denials, 1u);
-}
-
 /// Fails with 500 for the first `failures` requests, then succeeds.
 class RecoveringServer : public WebServer {
  public:
@@ -185,64 +163,35 @@ TEST(ProbeSchedulerTest, TransientErrorsAreNotCached) {
   EXPECT_EQ(scheduler.stats().cache_misses, 4u);
 }
 
-TEST(ProbeSchedulerTest, ClearCacheKeepsCounters) {
-  SimulatedWeb web;
-  ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("a.com")).ok());
-  ProbeScheduler scheduler(&web);
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  scheduler.ClearCache();
-  EXPECT_EQ(scheduler.cache_size(), 0u);
-  EXPECT_EQ(scheduler.stats().cache_misses, 1u);
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  EXPECT_EQ(scheduler.stats().cache_misses, 2u);
-}
-
-TEST(ProbeSchedulerTest, FetchBatchPositionalResults) {
-  SimulatedWeb web;
-  ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("a.com")).ok());
-  ProbeSchedulerOptions opts;
-  opts.num_workers = 4;
-  ProbeScheduler scheduler(&web, opts);
-
-  std::vector<Url> urls;
-  for (int i = 0; i < 50; ++i) {
-    urls.push_back(MakeUrl("http://a.com/?p=" + std::to_string(i)));
-  }
-  auto results = scheduler.FetchBatch(urls);
-  ASSERT_EQ(results.size(), urls.size());
-  for (size_t i = 0; i < urls.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << i;
-    EXPECT_EQ(results[i]->body, "echo:" + urls[i].ToCanonicalString());
-  }
-}
-
 TEST(ProbeSchedulerTest, ConcurrentFetchTotalsMatchSingleThreaded) {
-  // The same URL list fetched through 8 workers and through a fresh
-  // single-threaded scheduler must charge identical totals to the web:
-  // dedup and budget accounting lose nothing under concurrency.
-  std::vector<std::string> urls;
+  // The same URL list fetched from 8 threads and from one must charge
+  // identical totals to the web: dedup loses nothing under concurrency.
+  std::vector<Url> urls;
   for (int i = 0; i < 40; ++i) {
     // Each URL appears three times: dedup must collapse them everywhere.
     for (int rep = 0; rep < 3; ++rep) {
-      urls.push_back("http://site" + std::to_string(i % 4) +
-                     ".com/?p=" + std::to_string(i));
+      urls.push_back(MakeUrl("http://site" + std::to_string(i % 4) +
+                             ".com/?p=" + std::to_string(i)));
     }
   }
 
-  auto run = [&](size_t workers) {
+  auto run = [&](size_t num_threads) {
     SimulatedWeb web;
     for (int s = 0; s < 4; ++s) {
       EXPECT_TRUE(web.Register(std::make_shared<EchoServer>(
                                    "site" + std::to_string(s) + ".com"))
                       .ok());
     }
-    ProbeSchedulerOptions opts;
-    opts.num_workers = workers;
-    ProbeScheduler scheduler(&web, opts);
-    std::vector<Url> parsed;
-    for (const auto& u : urls) parsed.push_back(MakeUrl(u));
-    auto results = scheduler.FetchBatch(parsed);
-    for (const auto& r : results) EXPECT_TRUE(r.ok());
+    ProbeScheduler scheduler(&web);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < num_threads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < urls.size(); i += num_threads) {
+          EXPECT_TRUE(scheduler.Fetch(urls[i]).ok());
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
     std::vector<uint64_t> per_host;
     for (int s = 0; s < 4; ++s) {
       per_host.push_back(
@@ -251,11 +200,73 @@ TEST(ProbeSchedulerTest, ConcurrentFetchTotalsMatchSingleThreaded) {
     return std::make_pair(web.total_requests(), per_host);
   };
 
-  auto [total1, hosts1] = run(0);
+  auto [total1, hosts1] = run(1);
   auto [total8, hosts8] = run(8);
   EXPECT_EQ(total1, total8);
   EXPECT_EQ(hosts1, hosts8);
   EXPECT_EQ(total1, 40u);  // 120 requests, 40 distinct URLs
+}
+
+/// Holds every request until the test opens it, so concurrent fetches
+/// of one URL are sure to overlap.
+class GatedServer : public WebServer {
+ public:
+  explicit GatedServer(std::string host) : host_(std::move(host)) {}
+
+  HttpResponse Handle(const HttpRequest& request) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    open_cv_.wait(lock, [this] { return open_; });
+    HttpResponse resp;
+    resp.body = "gated:" + request.url.ToCanonicalString();
+    return resp;
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    open_cv_.notify_all();
+  }
+
+  const std::string& host() const override { return host_; }
+
+ private:
+  std::string host_;
+  std::mutex mu_;
+  std::condition_variable open_cv_;
+  bool open_ = false;
+};
+
+TEST(ProbeSchedulerTest, ConcurrentFetchesOfOneUrlShareOneSiteRequest) {
+  constexpr size_t kThreads = 6;
+  SimulatedWeb web;
+  auto server = std::make_shared<GatedServer>("a.com");
+  ASSERT_TRUE(web.Register(server).ok());
+  ProbeScheduler scheduler(&web);
+  const Url url = MakeUrl("http://a.com/search?q=x");
+
+  std::vector<std::string> bodies(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto response = scheduler.Fetch(url);
+      if (response.ok()) bodies[t] = response->body;
+    });
+  }
+  // The site holds the first request until every thread has entered
+  // Fetch, so each later arrival finds that fetch still in flight.
+  while (scheduler.stats().requests < kThreads) std::this_thread::yield();
+  server->Open();
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(web.TrafficFor("a.com").get_requests, 1u);
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.coalesced, kThreads - 1);
+  for (const auto& body : bodies) {
+    EXPECT_EQ(body, "gated:" + url.ToCanonicalString());
+  }
 }
 
 }  // namespace

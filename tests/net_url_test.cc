@@ -105,6 +105,11 @@ TEST(UrlResolveTest, AbsoluteRefWins) {
   auto resolved = Url::Resolve(base, "http://b.com/x");
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(resolved->host(), "b.com");
+  // Any case, and digits, '+', '-' and '.' after the first letter.
+  auto other = Url::Resolve(base, "Svn+SSH.2-x://c.com/y");
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(other->scheme(), "svn+ssh.2-x");
+  EXPECT_EQ(other->host(), "c.com");
 }
 
 TEST(UrlResolveTest, AbsolutePath) {
@@ -131,6 +136,25 @@ TEST(UrlResolveTest, BareQueryString) {
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(resolved->path(), "/search");
   EXPECT_EQ(resolved->GetParam("page"), "2");
+}
+
+TEST(UrlResolveTest, UrlInAQueryStaysRelative) {
+  auto base = Url::Parse("http://site.example.com/search/form").value();
+  auto resolved = Url::Resolve(base, "/go?next=http://other.example.com/x");
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved->scheme(), "http");
+  EXPECT_EQ(resolved->host(), "site.example.com");
+  EXPECT_EQ(resolved->path(), "/go");
+  EXPECT_EQ(resolved->GetParam("next"), "http://other.example.com/x");
+}
+
+TEST(UrlResolveTest, RelativePathWithSchemeSeparatorInItsQuery) {
+  auto base = Url::Parse("http://site.example.com/search/form").value();
+  auto resolved = Url::Resolve(base, "results?q=a://b");
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved->host(), "site.example.com");
+  EXPECT_EQ(resolved->path(), "/search/results");
+  EXPECT_EQ(resolved->GetParam("q"), "a://b");
 }
 
 TEST(UrlResolveTest, EmptyRefIsBase) {

@@ -1,7 +1,7 @@
 // Tests for the serving engine: LRU result-cache semantics (eviction
-// order, hit/miss counters, epoch invalidation on ingest), batch
-// serving, and SearchBatch hammered during concurrent ingest — the
-// latter is what the TSan CI job is for.
+// order, hit/miss counters, epoch invalidation on ingest), per-request
+// deadlines, and Search hammered from reader threads during concurrent
+// ingest — the latter is what the TSan CI job is for.
 
 #include <gtest/gtest.h>
 
@@ -129,28 +129,18 @@ TEST_F(ServeEngineTest, IngestInvalidatesStaleCachedResults) {
   EXPECT_TRUE(engine.Search("epsilon").from_cache);
 }
 
-TEST_F(ServeEngineTest, InvalidationsAreAttributedToTheActiveIngestSource) {
+TEST_F(ServeEngineTest, InvalidationsCountAcrossTwoIngests) {
   Engine engine(index_.get(), {});
-  EXPECT_EQ(engine.stats().last_invalidation_epoch, 0u);
-
-  // Default tag: plain "ingest".
   (void)engine.Search("alpha");
   ASSERT_TRUE(index_->InsertBatch({Doc("u5", "epsilon document body")}).ok());
-  (void)engine.Search("alpha");
+  (void)engine.Search("alpha");  // 1: alpha's entry predates the ingest
 
-  // Switch feeds: subsequent invalidations belong to the new source.
-  engine.SetIngestSource("distributed-ingest");
   (void)engine.Search("beta");
   ASSERT_TRUE(index_->InsertBatch({Doc("u6", "zeta document body")}).ok());
-  (void)engine.Search("alpha");
-  (void)engine.Search("beta");
+  (void)engine.Search("alpha");  // 2: the refilled entry is stale again
+  (void)engine.Search("beta");   // 3
 
-  auto stats = engine.stats();
-  EXPECT_EQ(stats.invalidations, 3u);
-  EXPECT_EQ(stats.invalidations_by_source.at("ingest"), 1u);
-  EXPECT_EQ(stats.invalidations_by_source.at("distributed-ingest"), 2u);
-  EXPECT_EQ(stats.last_invalidation_epoch, index_->ingest_epoch())
-      << "the epoch that evicted the last entry is the current one";
+  EXPECT_EQ(engine.stats().invalidations, 3u);
 }
 
 TEST_F(ServeEngineTest, SuppressedDuplicateIngestKeepsCacheValid) {
@@ -174,38 +164,7 @@ TEST_F(ServeEngineTest, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(engine.stats().cache_misses, 2u);
 }
 
-TEST_F(ServeEngineTest, ClearCacheDropsEntriesButKeepsCounters) {
-  Engine engine(index_.get(), {});
-  (void)engine.Search("alpha");
-  EXPECT_TRUE(engine.Search("alpha").from_cache);
-  engine.ClearCache();
-  EXPECT_EQ(engine.cache_size(), 0u);
-  EXPECT_FALSE(engine.Search("alpha").from_cache);
-  EXPECT_EQ(engine.stats().cache_hits, 1u);
-}
-
-TEST_F(ServeEngineTest, SearchBatchIsPositionalAndEqualsSequential) {
-  std::vector<std::string> queries = {"alpha", "beta", "document body",
-                                      "gamma", "alpha", "nosuchterm"};
-  Engine sequential(index_.get(), {});
-  std::vector<ServeResult> expected;
-  for (const auto& q : queries) expected.push_back(sequential.Search(q));
-
-  Engine batched(index_.get(), {});
-  auto results = batched.SearchBatch(queries, 4);
-  ASSERT_EQ(results.size(), queries.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].hits.size(), expected[i].hits.size()) << i;
-    for (size_t j = 0; j < results[i].hits.size(); ++j) {
-      EXPECT_EQ(results[i].hits[j].doc, expected[i].hits[j].doc);
-      EXPECT_EQ(results[i].hits[j].score, expected[i].hits[j].score);
-    }
-  }
-  EXPECT_EQ(batched.stats().batches, 1u);
-  EXPECT_EQ(batched.stats().queries, queries.size());
-}
-
-TEST(ServeEngineConcurrencyTest, SearchBatchDuringConcurrentIngest) {
+TEST(ServeEngineConcurrencyTest, SearchDuringConcurrentIngest) {
   // The serving contract under concurrent ingest: no data races (TSan
   // job), every query answered, and afterwards the engine agrees with
   // the index. Results mid-race may reflect pre- or post-ingest state —
@@ -232,16 +191,14 @@ TEST(ServeEngineConcurrencyTest, SearchBatchDuringConcurrentIngest) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> answered{0};
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       // Keep serving while ingest runs; a floor of three passes keeps
       // the test meaningful even if the writer wins every race.
       int iterations = 0;
       do {
-        auto results = engine.SearchBatch(queries, 2);
-        EXPECT_EQ(results.size(), queries.size());
-        for (const auto& res : results) {
-          answered += res.hits.size() + 1;
+        for (const auto& q : queries) {
+          answered += engine.Search(q).hits.size() + 1;
         }
         ++iterations;
       } while (!done || iterations < 3);
@@ -315,12 +272,11 @@ TEST(ServeEngineConcurrencyTest,
 
   std::atomic<bool> done{false};
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       int iterations = 0;
       do {
-        auto results = engine.SearchBatch(queries, 2);
-        EXPECT_EQ(results.size(), queries.size());
+        for (const auto& q : queries) (void)engine.Search(q);
         ++iterations;
       } while (!done || iterations < 3);
     });
@@ -454,37 +410,6 @@ TEST_F(ServeEngineTest, AdmittedSearchRunsToCompletionPastItsDeadline) {
   EXPECT_TRUE(res.status.ok());
   EXPECT_FALSE(res.hits.empty());
   EXPECT_EQ(engine.stats().deadline_exceeded, 0u);
-}
-
-TEST_F(ServeEngineTest, SaturatedBatchShedsItsTail) {
-  // 20 distinct queries at 20ms each over 2 workers is 200ms of work
-  // against a 100ms deadline: the head is served, the tail expires in
-  // the queue — queueing collapse as a counter instead of a stall.
-  SlowIndex slow(index_.get(), 20);
-  EngineOptions eopts;
-  eopts.cache_capacity = 0;  // distinct queries; measure the queue
-  Engine engine(&slow, eopts);
-  std::vector<std::string> queries;
-  for (int i = 0; i < 20; ++i) {
-    queries.push_back("alpha q" + std::to_string(i));
-  }
-  auto results = engine.SearchBatch(queries, 2, /*deadline_ms=*/100.0);
-  ASSERT_EQ(results.size(), queries.size());
-  size_t ok = 0, shed = 0;
-  for (const auto& r : results) {
-    if (r.status.ok()) {
-      ++ok;
-    } else {
-      EXPECT_TRUE(r.status.IsDeadlineExceeded());
-      EXPECT_TRUE(r.hits.empty());
-      ++shed;
-    }
-  }
-  EXPECT_GT(shed, 0u) << "200ms of work cannot fit a 100ms deadline";
-  EXPECT_GT(ok, 0u) << "the head of the queue was picked up in time";
-  auto stats = engine.stats();
-  EXPECT_EQ(stats.deadline_exceeded, shed);
-  EXPECT_EQ(stats.queries, queries.size());
 }
 
 }  // namespace

@@ -186,20 +186,6 @@ TEST(SurfacingDriverTest, RejectsSharedSeedAndOutputIndex) {
   EXPECT_TRUE(stats.status().IsInvalidArgument());
 }
 
-TEST(SurfacingDriverTest, RejectsPerHostBudgetScheduler) {
-  // A shared per-host budget is consumed in scheduling order and would
-  // break the determinism contract; the driver refuses to run with one.
-  auto f = MakeCorpus(4);
-  net::ProbeSchedulerOptions sopts;
-  sopts.per_host_budget = 100;
-  net::ProbeScheduler scheduler(f.corpus.web.get(), sopts);
-  index::InvertedIndex index;
-  SurfacingDriver driver(&scheduler, &index, {});
-  auto stats = driver.Run(f.forms);
-  EXPECT_FALSE(stats.ok());
-  EXPECT_TRUE(stats.status().IsInvalidArgument());
-}
-
 TEST(SurfacingDriverTest, RunIsSingleShot) {
   auto f = MakeCorpus(4);
   net::ProbeScheduler scheduler(f.corpus.web.get());

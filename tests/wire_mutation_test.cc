@@ -1,16 +1,15 @@
 // Seeded mutation tests for the remote layer's decoders of hostile
 // bytes: the six wire decoders (Decode{Search,Ingest,Health}{Request,
-// Response}) and IngestLog::Restore. Each case builds valid frames from
-// a seeded generator and mutates them: truncation at every offset, every
-// 4- and 8-byte window set to 0, to the maximum and to its value plus
-// and minus one (which reaches every length, count, seq and id field),
-// and seeded runs of byte flips, inserts and deletes. The properties:
+// Response}). Each case builds valid frames from a seeded generator and
+// mutates them: truncation at every offset, every 4- and 8-byte window
+// set to 0, to the maximum and to its value plus and minus one (which
+// reaches every length, count, seq and id field), and seeded runs of
+// byte flips, inserts and deletes. The properties:
 //   * no crash and no sanitizer report (CI's ASan+UBSan job runs this);
 //   * a valid message decodes and re-encodes to its own bytes;
 //   * a mutant that decodes re-encodes to exactly its own bytes, the
 //     canonical encoding wire.h promises (frames are compared and
-//     hashed); for Restore, the kept prefix re-serializes to the image's
-//     prefix.
+//     hashed).
 //
 // Seeds: see tests/mutation.h.
 
@@ -21,7 +20,6 @@
 #include <string>
 
 #include "mutation.h"
-#include "remote/ingest_log.h"
 #include "remote/wire.h"
 #include "util/rng.h"
 
@@ -228,46 +226,6 @@ TEST(WireMutationTest, HealthRequest) {
 
 TEST(WireMutationTest, HealthResponse) {
   CheckDecoder(&DecodeHealthResponse, &RandomHealthResponse, 6);
-}
-
-/// Restore keeps an intact prefix: its records re-serialize to exactly
-/// the image's first bytes, and the report accounts for the rest.
-::testing::AssertionResult RestoresAPrefix(const std::string& image) {
-  IngestLog log;
-  const IngestLog::RecoveryReport report = log.Restore(image);
-  const std::string kept = log.Serialize();
-  if (report.records != log.num_records() ||
-      kept.size() + report.dropped_bytes != image.size() ||
-      report.torn_tail != (report.dropped_bytes > 0)) {
-    return ::testing::AssertionFailure()
-           << "report (" << report.records << " records, "
-           << report.dropped_bytes << " dropped bytes) does not match "
-           << log.num_records() << " kept records of " << kept.size()
-           << " bytes in a " << image.size() << "-byte image";
-  }
-  if (image.compare(0, kept.size(), kept) != 0) {
-    return ::testing::AssertionFailure()
-           << "the kept records do not re-serialize to the image's prefix";
-  }
-  return ::testing::AssertionSuccess();
-}
-
-TEST(WireMutationTest, IngestLogRestore) {
-  Rng rng = SeededRng(7);
-  for (int i = 0; i < kMessages; ++i) {
-    IngestLog log;
-    uint64_t seq = 1 + rng.Uniform(1000);
-    for (uint64_t n = rng.Uniform(4); n > 0; --n) {
-      ASSERT_TRUE(log.Append(seq++, RandomBytes(&rng, 24)).ok());
-    }
-    const std::string image = log.Serialize();
-    IngestLog restored;
-    const auto report = restored.Restore(image);
-    ASSERT_FALSE(report.torn_tail) << "valid image " << i;
-    ASSERT_EQ(report.records, log.num_records()) << "valid image " << i;
-    ASSERT_TRUE(RestoresAPrefix(image)) << "valid image " << i;
-    ASSERT_TRUE(EveryMutant(image, &rng, RestoresAPrefix)) << "image " << i;
-  }
 }
 
 // --- The three non-canonical inputs the decoders used to accept. Each
