@@ -8,6 +8,32 @@
 namespace deepsurf {
 namespace core {
 
+namespace {
+
+/// The non-numeric term that repeats across the most records of
+/// vocabulary `i` and belongs to no other sampled option's vocabulary
+/// ("" when every term is shared).
+std::string DistinctiveTerm(
+    const std::vector<std::map<std::string, double>>& vocabularies,
+    size_t i) {
+  std::string best;
+  double best_rdf = 0.0;
+  for (const auto& [term, rdf] : vocabularies[i]) {
+    if (rdf <= best_rdf || strings::IsDigits(term)) continue;
+    bool shared = false;
+    for (size_t j = 0; j < vocabularies.size() && !shared; ++j) {
+      shared = j != i && vocabularies[j].count(term) > 0;
+    }
+    if (!shared) {
+      best = term;
+      best_rdf = rdf;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
                                          const std::string& select_input,
                                          const std::string& text_input,
@@ -64,6 +90,32 @@ Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
   }
   verdict.mean_jsd_bits = stats::Mean(divergences);
   verdict.is_db_selector = verdict.mean_jsd_bits >= options.jsd_threshold;
+  if (!verdict.is_db_selector) return verdict;
+
+  // Confirm through the keyword box with the select unbound. A
+  // field-equality select's unbound form searches all its options, so
+  // each option's distinctive term moves the page off the unconstrained
+  // one; a db selector's reads one database, where at most that
+  // database's own term does.
+  ++verdict.probes_used;
+  auto unbound = prober->Probe({});
+  if (!unbound.ok()) {
+    if (unbound.status().IsResourceExhausted()) return unbound.status();
+    return verdict;  // no baseline page to compare against
+  }
+  size_t moved = 0;
+  for (size_t i = 0; i < vocabularies.size() && moved < 2; ++i) {
+    std::string term = DistinctiveTerm(vocabularies, i);
+    if (term.empty()) continue;
+    ++verdict.probes_used;
+    auto page = prober->Probe({{text_input, term}});
+    if (!page.ok()) {
+      if (page.status().IsResourceExhausted()) return page.status();
+      continue;
+    }
+    if (page->HasResults() && page->signature != unbound->signature) ++moved;
+  }
+  verdict.is_db_selector = moved < 2;
   return verdict;
 }
 
@@ -102,13 +154,16 @@ Result<DbSelectVerdict> MineDbSelector(
       }
     }
     if (option_seeds.empty()) option_seeds = seed_words;
-    DEEPSURF_ASSIGN_OR_RETURN(
-        ProbingResult mined,
-        IterativeProbe(prober, text_input, option_seeds, df_lookup,
-                       options.per_option_probing,
-                       /*context=*/{{select_input, option}}));
-    verdict.probes_used += mined.probes_used;
-    verdict.keywords_by_option[option] = std::move(mined.selected);
+    auto mined = IterativeProbe(prober, text_input, option_seeds, df_lookup,
+                                options.per_option_probing,
+                                /*context=*/{{select_input, option}});
+    if (!mined.ok()) {
+      // The budget ran out: keep the options mined in full so far.
+      if (mined.status().IsResourceExhausted()) break;
+      return mined.status();
+    }
+    verdict.probes_used += mined->probes_used;
+    verdict.keywords_by_option[option] = std::move(mined->selected);
   }
   return verdict;
 }

@@ -4,9 +4,13 @@
 // chooses *which underlying database* a keyword box searches (movies vs
 // music vs software vs games). The tell-tale signal is distributional:
 // probing each option and comparing the result-page vocabularies shows a
-// high Jensen-Shannon divergence between options, far above that of an
-// ordinary field-equality select. Once detected, keywords are mined
-// per-option ("microsoft" for software, not for movies).
+// high Jensen-Shannon divergence between options. A field-equality select
+// over a column that shapes the rest of the record (job category, book
+// subject) can diverge as much, so a divergence is confirmed through the
+// keyword box with the select unbound: a db selector's unbound form
+// searches one database, a field-equality select's searches them all.
+// Once detected, keywords are mined per-option ("microsoft" for software,
+// not for movies).
 
 #ifndef DEEPSURF_CORE_DBSELECT_H_
 #define DEEPSURF_CORE_DBSELECT_H_
@@ -53,13 +57,20 @@ struct DbSelectVerdict {
 };
 
 /// Tests whether `select_input` selects among databases for
-/// `text_input`. Pure detection; no keyword mining.
+/// `text_input`, the form's keyword box. Pure detection; no keyword
+/// mining. A divergence above the threshold is confirmed by probing
+/// each sampled option's distinctive term in the keyword box with the
+/// select unbound: when two or more of them retrieve a page other than
+/// the unconstrained one, the box searches all options at once and the
+/// select is an ordinary field-equality filter.
 Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
                                          const std::string& select_input,
                                          const std::string& text_input,
                                          const DbSelectOptions& options = {});
 
-/// Detection plus per-option keyword mining via iterative probing.
+/// Detection plus per-option keyword mining via iterative probing. When
+/// the probe budget runs out during mining, the verdict keeps the
+/// options mined in full before it.
 Result<DbSelectVerdict> MineDbSelector(
     FormProber* prober, const std::string& select_input,
     const std::string& text_input,

@@ -1,7 +1,7 @@
 #include "core/typed.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
 
 #include "util/strings.h"
 
@@ -107,26 +107,36 @@ bool NameHint(DataType type, const std::string& name,
 
 namespace {
 
-/// Success = the probe produced a page with at least one record.
+/// Success = the probe produced a page with at least one record. Plans
+/// min(limit, values.size()) probes and returns hits over that planned
+/// count. The test is sequential: `accepts` is the caller's acceptance
+/// rule on the final rate (monotone: a higher rate never fails where a
+/// lower one passes), and once the hits still possible cannot reach the
+/// fewest it accepts, the remaining probes are skipped. A rate that
+/// stopped early can only fail `accepts`, just as the full rate would.
 Result<double> HitRate(FormProber* prober, const std::string& input_name,
                        const std::vector<std::string>& values, size_t limit,
+                       const std::function<bool(double)>& accepts,
                        size_t* probes_used) {
-  if (values.empty()) return 0.0;
-  size_t tried = 0;
+  const size_t planned = std::min(limit, values.size());
+  if (planned == 0) return 0.0;
+  auto rate = [planned](size_t hits) {
+    return static_cast<double>(hits) / static_cast<double>(planned);
+  };
+  size_t needed = 0;  // planned + 1 when no rate passes
+  while (needed <= planned && !accepts(rate(needed))) ++needed;
   size_t hits = 0;
-  for (const auto& v : values) {
-    if (tried >= limit) break;
-    ++tried;
+  for (size_t i = 0; i < planned; ++i) {
+    if (hits + (planned - i) < needed) break;  // out of reach
     ++*probes_used;
-    auto result = prober->Probe({{input_name, v}});
+    auto result = prober->Probe({{input_name, values[i]}});
     if (!result.ok()) {
       if (result.status().IsResourceExhausted()) return result.status();
       continue;  // transient failure counts as a miss
     }
     if (result->HasResults()) ++hits;
   }
-  if (tried == 0) return 0.0;
-  return static_cast<double>(hits) / static_cast<double>(tried);
+  return rate(hits);
 }
 
 }  // namespace
@@ -144,7 +154,7 @@ Result<TypeVerdict> RecognizeType(
   DEEPSURF_ASSIGN_OR_RETURN(
       verdict.garbage_rate,
       HitRate(prober, input_name, kGarbage, options.garbage_probes,
-              &verdict.probes_used));
+              [](double) { return true; }, &verdict.probes_used));
 
   // 2. Search-box test first: a box that retrieves records for the
   //    site's characteristic prose accepts arbitrary keywords, and such a
@@ -156,12 +166,15 @@ Result<TypeVerdict> RecognizeType(
   for (const auto& w : context_words) {
     if (!strings::IsDigits(w)) prose_context.push_back(w);
   }
+  auto is_search_box = [&](double rate) {
+    return rate >= options.search_box_min_hit_rate &&
+           rate >= verdict.garbage_rate + options.margin;
+  };
   DEEPSURF_ASSIGN_OR_RETURN(
       double search_rate,
       HitRate(prober, input_name, prose_context, options.samples_per_type,
-              &verdict.probes_used));
-  if (search_rate >= options.search_box_min_hit_rate &&
-      search_rate >= verdict.garbage_rate + options.margin) {
+              is_search_box, &verdict.probes_used));
+  if (is_search_box(search_rate)) {
     verdict.type = DataType::kSearchBox;
     verdict.hit_rate = search_rate;
     return verdict;
@@ -176,13 +189,16 @@ Result<TypeVerdict> RecognizeType(
                    });
   DataType best = DataType::kUnknown;
   double best_rate = 0.0;
+  auto beats_best = [&](double rate) {
+    return rate >= options.min_hit_rate &&
+           rate >= verdict.garbage_rate + options.margin && rate > best_rate;
+  };
   for (DataType type : order) {
     DEEPSURF_ASSIGN_OR_RETURN(
         double rate,
         HitRate(prober, input_name, SampleValues(type),
-                options.samples_per_type, &verdict.probes_used));
-    if (rate >= options.min_hit_rate &&
-        rate >= verdict.garbage_rate + options.margin && rate > best_rate) {
+                options.samples_per_type, beats_best, &verdict.probes_used));
+    if (beats_best(rate)) {
       best = type;
       best_rate = rate;
       if (rate >= 0.99) break;  // cannot be beaten; save probes
@@ -213,7 +229,7 @@ Result<TypeVerdict> RecognizeType(
   }
 
   verdict.type = DataType::kUnknown;
-  verdict.hit_rate = std::max(best_rate, search_rate);
+  verdict.hit_rate = search_rate;
   return verdict;
 }
 

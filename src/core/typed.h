@@ -50,7 +50,11 @@ bool NameHint(DataType type, const std::string& name,
 /// Outcome of recognition for one input.
 struct TypeVerdict {
   DataType type = DataType::kUnknown;
-  double hit_rate = 0.0;      ///< success rate of the winning type
+  /// Success rate of the winning type, over all its samples. For
+  /// kUnknown, the search-box test's rate: its hits over the samples it
+  /// planned, counting only those probed before the test stopped, so it
+  /// can read below the rate of probing them all.
+  double hit_rate = 0.0;
   double garbage_rate = 0.0;  ///< success rate of garbage probes
   size_t probes_used = 0;
 };
@@ -70,7 +74,11 @@ struct TypeRecognizerOptions {
 /// Recognizes the type of one text input by probing. `context_words` are
 /// site-characteristic words (from already-indexed pages of the host)
 /// used for the search-box test. Every probe binds only this input,
-/// leaving the rest of the form free.
+/// leaving the rest of the form free. Each test plans
+/// `samples_per_type` probes but is sequential: it stops once the hits
+/// it still needs to pass are out of reach. The verdict's type is the
+/// one probing every planned sample would give, since a test that stops
+/// could not have passed.
 Result<TypeVerdict> RecognizeType(FormProber* prober,
                                   const std::string& input_name,
                                   const std::string& label,

@@ -60,6 +60,47 @@ TEST(DbSelectTest, OrdinarySelectNotFlagged) {
   EXPECT_FALSE(verdict->is_db_selector);
 }
 
+TEST(DbSelectTest, FieldEqualitySelectsRarelyFlaggedAtSurfacingScale) {
+  // Sites of 20-200 rows, the sizes a surfacing crawl meets, each probed
+  // through its own keyword box. A category, subject, department or
+  // cuisine select shapes the rest of its records, so its options'
+  // vocabularies diverge like separate databases; the unbound keyword
+  // box must tell them apart. Media libraries of the same sizes keep
+  // E8's recall bar.
+  size_t ordinary = 0;
+  size_t false_alarms = 0;
+  size_t selectors = 0;
+  size_t detected = 0;
+  for (synthweb::Domain domain :
+       {synthweb::Domain::kJobs, synthweb::Domain::kBooks,
+        synthweb::Domain::kGovRecords, synthweb::Domain::kRestaurants,
+        synthweb::Domain::kMediaLibrary}) {
+    for (uint64_t rank = 0; rank < 10; ++rank) {
+      auto h = MakeSite(domain, 7000 + 31 * rank, 20 + 180 / (rank + 1));
+      std::string box = FindInputs(h->site->spec()).box;
+      if (box.empty()) continue;  // restaurants' box is optional
+      FormProber prober(&h->web, h->analyzed);
+      for (const auto& in : h->site->spec().inputs) {
+        if (!in.is_select) continue;
+        auto verdict = DetectDbSelector(&prober, in.html_name, box);
+        ASSERT_TRUE(verdict.ok());
+        if (in.role == synthweb::InputRole::kDbSelector) {
+          ++selectors;
+          if (verdict->is_db_selector) ++detected;
+        } else {
+          ++ordinary;
+          if (verdict->is_db_selector) ++false_alarms;
+        }
+      }
+    }
+  }
+  EXPECT_GE(ordinary, 40u);
+  EXPECT_LE(false_alarms * 20, ordinary)
+      << false_alarms << " of " << ordinary << " flagged";
+  EXPECT_EQ(selectors, 10u);
+  EXPECT_GE(detected * 2, selectors);
+}
+
 TEST(DbSelectTest, NonSelectInputRejected) {
   auto h = MakeSite(synthweb::Domain::kMediaLibrary, 227, 100);
   auto inputs = FindInputs(h->site->spec());

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/surfacer.h"
+#include "net/fetcher.h"
 #include "test_support.h"
 
 namespace deepsurf {
@@ -141,6 +142,48 @@ TEST(SurfacerTest, DbSelectionCompiled) {
   for (const auto& surfaced : result->urls) {
     if (surfaced.url.HasParam(selector)) {
       EXPECT_TRUE(surfaced.url.HasParam(box));
+      ++joint;
+    }
+  }
+  EXPECT_GT(joint, 0u);
+}
+
+TEST(SurfacerTest, DbSelectionKeepsOptionsMinedBeforeBudgetRunsOut) {
+  // Where per-option mining starts and ends, measured with no budget:
+  // the media library's analysis ends with it (both inputs are consumed
+  // by the db-selection pattern).
+  SurfacerOptions unlimited = FastOptions();
+  unlimited.probe_budget = 0;
+  auto measured = MakeSite(synthweb::Domain::kMediaLibrary, 415, 240);
+  net::ProbeScheduler scheduler(&measured->web);
+  auto ctx = AnalyzeInputs(&scheduler, nullptr, unlimited,
+                           measured->page_url, measured->form,
+                           measured->scripts);
+  ASSERT_TRUE(ctx.ok());
+  const size_t before_mining = ctx->prober->fetches();
+  ASSERT_TRUE(MineCandidates(&*ctx).ok());
+  const size_t after_mining = ctx->prober->fetches();
+  ASSERT_EQ(ctx->result.dbselect.size(), 1u);
+  ASSERT_EQ(ctx->result.dbselect[0].keywords_by_option.size(), 4u);
+
+  // A budget that runs out halfway through mining keeps the options
+  // mined before it, and they still surface (selector, keyword) URLs.
+  SurfacerOptions opts = FastOptions();
+  opts.probe_budget = (before_mining + after_mining) / 2;
+  auto h = MakeSite(synthweb::Domain::kMediaLibrary, 415, 240);
+  Surfacer surfacer(&h->web, nullptr, opts);
+  auto result = surfacer.Surface(h->page_url, h->form, h->scripts);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->probes_used, opts.probe_budget);
+  ASSERT_EQ(result->dbselect.size(), 1u);
+  const DbSelectVerdict& verdict = result->dbselect[0];
+  EXPECT_TRUE(verdict.is_db_selector);
+  EXPECT_FALSE(verdict.keywords_by_option.empty());
+  EXPECT_LT(verdict.keywords_by_option.size(), 4u);
+  size_t joint = 0;
+  for (const auto& surfaced : result->urls) {
+    if (surfaced.url.HasParam(verdict.select_input) &&
+        surfaced.url.HasParam(verdict.text_input)) {
       ++joint;
     }
   }

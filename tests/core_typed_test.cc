@@ -2,14 +2,89 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "core/pipeline.h"
 #include "core/typed.h"
+#include "net/fetcher.h"
 #include "test_support.h"
+#include "util/strings.h"
 
 namespace deepsurf {
 namespace core {
 namespace {
 
 using testing_support::MakeSite;
+
+/// Recognition as it was before each test became sequential: every
+/// planned sample is probed. The reference the sequential test must
+/// agree with; budget exhaustion is not modeled (callers probe without
+/// a budget).
+TypeVerdict ExhaustiveReference(FormProber* prober,
+                                const std::string& input_name,
+                                const std::string& label,
+                                const std::vector<std::string>& context_words,
+                                const TypeRecognizerOptions& options = {}) {
+  TypeVerdict verdict;
+  auto hit_rate = [&](const std::vector<std::string>& values, size_t limit) {
+    size_t tried = 0;
+    size_t hits = 0;
+    for (const auto& v : values) {
+      if (tried >= limit) break;
+      ++tried;
+      ++verdict.probes_used;
+      auto result = prober->Probe({{input_name, v}});
+      if (result.ok() && result->HasResults()) ++hits;
+    }
+    return tried == 0 ? 0.0
+                      : static_cast<double>(hits) / static_cast<double>(tried);
+  };
+  static const std::vector<std::string> kGarbage = {
+      "xqzkvwpt", "zzqy1742", "vkwqjxx", "qqqzzzv", "xjqv9wz"};
+  verdict.garbage_rate = hit_rate(kGarbage, options.garbage_probes);
+  std::vector<std::string> prose_context;
+  for (const auto& w : context_words) {
+    if (!strings::IsDigits(w)) prose_context.push_back(w);
+  }
+  double search_rate = hit_rate(prose_context, options.samples_per_type);
+  if (search_rate >= options.search_box_min_hit_rate &&
+      search_rate >= verdict.garbage_rate + options.margin) {
+    verdict.type = DataType::kSearchBox;
+    verdict.hit_rate = search_rate;
+    return verdict;
+  }
+  std::vector<DataType> order = TypedCandidates();
+  std::stable_sort(order.begin(), order.end(),
+                   [&](DataType a, DataType b) {
+                     return NameHint(a, input_name, label) >
+                            NameHint(b, input_name, label);
+                   });
+  DataType best = DataType::kUnknown;
+  double best_rate = 0.0;
+  for (DataType type : order) {
+    double rate = hit_rate(SampleValues(type), options.samples_per_type);
+    if (rate >= options.min_hit_rate &&
+        rate >= verdict.garbage_rate + options.margin && rate > best_rate) {
+      best = type;
+      best_rate = rate;
+      if (rate >= 0.99) break;
+    }
+  }
+  if (best == DataType::kZipCode) {
+    verdict.probes_used += 2;
+    auto zero = prober->Probe({{input_name, "0"}});
+    auto huge = prober->Probe({{input_name, "999999999"}});
+    if ((zero.ok() && zero->HasResults()) ||
+        (huge.ok() && huge->HasResults())) {
+      best = DataType::kPrice;
+    }
+  }
+  verdict.type = best;
+  verdict.hit_rate =
+      best != DataType::kUnknown ? best_rate : std::max(best_rate, search_rate);
+  return verdict;
+}
 
 TEST(TypedDictTest, CandidatesAndSamples) {
   EXPECT_EQ(TypedCandidates().size(), 6u);
@@ -145,6 +220,62 @@ TEST_F(TypedRecognitionTest, BudgetExhaustionSurfacesAsError) {
   auto verdict = RecognizeType(&prober, h->analyzed.inputs[0].name, "", {});
   EXPECT_FALSE(verdict.ok());
   EXPECT_TRUE(verdict.status().IsResourceExhausted());
+}
+
+TEST(TypedSequentialTest, AgreesWithExhaustiveProbingOnEveryDomain) {
+  // Every text input of 30 sites (each domain at 20-200 rows, names
+  // plain and obfuscated), tested with the site's own context words (as
+  // AnalyzeInputs derives them with no seed index) and with none.
+  size_t inputs = 0;
+  size_t sequential_probes = 0;
+  size_t reference_probes = 0;
+  std::map<DataType, size_t> types;
+  for (synthweb::Domain domain : synthweb::AllDomains()) {
+    for (uint64_t rank = 0; rank < 3; ++rank) {
+      auto h = MakeSite(domain, 9000 + 17 * rank, 20 + 180 / (rank + 1),
+                        /*obfuscate=*/rank == 1);
+      net::ProbeScheduler scheduler(&h->web);
+      SurfacerOptions no_typing;
+      no_typing.enable_typed = false;
+      auto ctx = AnalyzeInputs(&scheduler, nullptr, no_typing, h->page_url,
+                               h->form, h->scripts);
+      ASSERT_TRUE(ctx.ok());
+      for (const auto& input : h->analyzed.inputs) {
+        if (input.is_select) continue;
+        for (const auto& context :
+             {ctx->context_words, std::vector<std::string>{}}) {
+          SCOPED_TRACE(std::string(synthweb::DomainToString(domain)) + " " +
+                       input.name);
+          FormProber sequential_prober(&h->web, h->analyzed);
+          auto verdict = RecognizeType(&sequential_prober, input.name,
+                                       input.label, context);
+          ASSERT_TRUE(verdict.ok());
+          FormProber reference_prober(&h->web, h->analyzed);
+          TypeVerdict reference = ExhaustiveReference(
+              &reference_prober, input.name, input.label, context);
+          EXPECT_EQ(verdict->type, reference.type);
+          EXPECT_LE(verdict->probes_used, reference.probes_used);
+          EXPECT_EQ(verdict->garbage_rate, reference.garbage_rate);
+          if (reference.type != DataType::kUnknown) {
+            EXPECT_EQ(verdict->hit_rate, reference.hit_rate);
+          }
+          ++inputs;
+          ++types[reference.type];
+          sequential_probes += verdict->probes_used;
+          reference_probes += reference.probes_used;
+        }
+      }
+    }
+  }
+  // The corpus exercises search boxes, typed boxes and unknown boxes,
+  // and the sequential test saves probes on them.
+  EXPECT_GT(inputs, 100u);
+  EXPECT_GT(types[DataType::kSearchBox], 0u);
+  EXPECT_GT(types[DataType::kUnknown], 0u);
+  EXPECT_GT(types[DataType::kZipCode] + types[DataType::kCity] +
+                types[DataType::kDate] + types[DataType::kPrice],
+            0u);
+  EXPECT_LT(sequential_probes, reference_probes);
 }
 
 TEST_F(TypedRecognitionTest, ProbeCountsReported) {

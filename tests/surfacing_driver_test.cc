@@ -92,15 +92,17 @@ TEST(SurfacingDriverTest, DeterministicAcrossThreadCounts) {
 }
 
 TEST(SurfacingDriverTest, SurfacedOutputIsPinned) {
-  // Recorded while ReducePage still built every probe's vocabulary
-  // eagerly. The fixture has no seed index, so each form's context words
-  // and keyword seeds come from its default page's term frequencies: a
-  // change to the probe vocabulary's keys, counts or order moves these.
-  constexpr size_t kUrls = 126;
-  constexpr uint64_t kUrlDigest = 0x15538a2d3af63b36ULL;
-  constexpr size_t kAnalysisProbes = 1111;
-  constexpr size_t kUrlsGenerated = 126;
-  constexpr size_t kPagesIndexed = 126;
+  // The fixture has no seed index, so each form's context words and
+  // keyword seeds come from its default page's term frequencies: a change
+  // to the probe vocabulary's keys, counts or order moves these. Recorded
+  // once the db-selection detector stopped flagging the jobs site's state
+  // select: it used to mine it as a database, spend the form's 400-probe
+  // budget and surface nothing there.
+  constexpr size_t kUrls = 170;
+  constexpr uint64_t kUrlDigest = 0x379ebed749fd14f1ULL;
+  constexpr size_t kAnalysisProbes = 747;
+  constexpr size_t kUrlsGenerated = 170;
+  constexpr size_t kPagesIndexed = 168;
   auto f = MakeCorpus();
   for (size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
