@@ -68,11 +68,11 @@ int Run() {
 
     // Per-option mining.
     core::FormProber prober(&f->web, f->analyzed);
-    core::DbSelectOptions dopts;
-    dopts.per_option_probing.final_count = 8;
-    dopts.per_option_probing.rounds = 2;
+    core::ProbingOptions per_option;
+    per_option.final_count = 8;
+    per_option.rounds = 2;
     auto verdict =
-        core::MineDbSelector(&prober, selector, box, {}, nullptr, dopts);
+        core::MineDbSelector(&prober, selector, box, {}, nullptr, per_option);
     DS_CHECK(verdict.ok());
     DS_CHECK(verdict->is_db_selector);
     std::set<uint64_t> per_option_records;

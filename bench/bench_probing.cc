@@ -109,9 +109,7 @@ int Run() {
       }
     }
     core::ProbingOptions popts;
-    popts.seed_count = 10;
     popts.rounds = 4;
-    popts.candidates_per_round = 12;
     popts.final_count = budget;
     auto iterative = core::IterativeProbe(&iterative_prober, box, seeds,
                                           nullptr, popts, cfg.context);

@@ -10,6 +10,21 @@ namespace core {
 
 namespace {
 
+/// Mean pairwise JSD (bits) over *column-domain* vocabulary above which
+/// the select is a db selector. Domain vocabulary = terms repeating
+/// across records of one page; ordinary selects share it across options
+/// (same table, same column domains), db selectors do not.
+constexpr double kJsdThreshold = 0.85;
+/// A term belongs to the domain vocabulary when it appears in at least
+/// this fraction of the page's records (and in >= 2 records).
+constexpr double kDomainTermFraction = 0.25;
+/// Options sampled for the divergence test (all when fewer).
+constexpr size_t kOptionsSampled = 4;
+/// Minimum records an option's page must show to count as evidence; with
+/// fewer, domain vocabulary is indistinguishable from record prose and
+/// the detector conservatively declines.
+constexpr size_t kMinRecordsForEvidence = 5;
+
 /// The non-numeric term that repeats across the most records of
 /// vocabulary `i` and belongs to no other sampled option's vocabulary
 /// ("" when every term is shared).
@@ -36,8 +51,7 @@ std::string DistinctiveTerm(
 
 Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
                                          const std::string& select_input,
-                                         const std::string& text_input,
-                                         const DbSelectOptions& options) {
+                                         const std::string& text_input) {
   DbSelectVerdict verdict;
   verdict.select_input = select_input;
   verdict.text_input = text_input;
@@ -55,7 +69,7 @@ Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
   size_t sampled = 0;
   for (const auto& option : sel->select_values) {
     if (option.empty()) continue;
-    if (sampled >= options.options_sampled) break;
+    if (sampled >= kOptionsSampled) break;
     ++sampled;
     ++verdict.probes_used;
     auto result = prober->Probe({{select_input, option}});
@@ -64,10 +78,10 @@ Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
       continue;
     }
     if (result->HasResults() &&
-        result->record_count >= options.min_records_for_evidence) {
+        result->record_count >= kMinRecordsForEvidence) {
       double min_records = std::max(
-          2.0, options.domain_term_fraction *
-                   static_cast<double>(result->record_count));
+          2.0,
+          kDomainTermFraction * static_cast<double>(result->record_count));
       std::map<std::string, double> domain_vocab;
       for (const auto& [term, rdf] : result->RecordDocumentFrequencies()) {
         if (rdf >= min_records) domain_vocab[term] = rdf;
@@ -89,7 +103,7 @@ Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
     }
   }
   verdict.mean_jsd_bits = stats::Mean(divergences);
-  verdict.is_db_selector = verdict.mean_jsd_bits >= options.jsd_threshold;
+  verdict.is_db_selector = verdict.mean_jsd_bits >= kJsdThreshold;
   if (!verdict.is_db_selector) return verdict;
 
   // Confirm through the keyword box with the select unbound. A
@@ -124,10 +138,10 @@ Result<DbSelectVerdict> MineDbSelector(
     const std::string& text_input,
     const std::vector<std::string>& seed_words,
     const std::function<double(const std::string&)>& df_lookup,
-    const DbSelectOptions& options) {
+    const ProbingOptions& per_option) {
   DEEPSURF_ASSIGN_OR_RETURN(
       DbSelectVerdict verdict,
-      DetectDbSelector(prober, select_input, text_input, options));
+      DetectDbSelector(prober, select_input, text_input));
   if (!verdict.is_db_selector) return verdict;
   const AnalyzedInput* sel = prober->form().FindInput(select_input);
   for (const auto& option : sel->select_values) {
@@ -146,16 +160,13 @@ Result<DbSelectVerdict> MineDbSelector(
       }
       std::sort(ranked.rbegin(), ranked.rend());
       for (const auto& [tf, term] : ranked) {
-        if (option_seeds.size() >=
-            options.per_option_probing.seed_count) {
-          break;
-        }
+        if (option_seeds.size() >= kSeedKeywordCount) break;
         option_seeds.push_back(term);
       }
     }
     if (option_seeds.empty()) option_seeds = seed_words;
     auto mined = IterativeProbe(prober, text_input, option_seeds, df_lookup,
-                                options.per_option_probing,
+                                per_option,
                                 /*context=*/{{select_input, option}});
     if (!mined.ok()) {
       // The budget ran out: keep the options mined in full so far.

@@ -26,25 +26,6 @@
 namespace deepsurf {
 namespace core {
 
-struct DbSelectOptions {
-  /// Mean pairwise JSD (bits) over *column-domain* vocabulary above which
-  /// the select is a db selector. Domain vocabulary = terms repeating
-  /// across records of one page; ordinary selects share it across
-  /// options (same table, same column domains), db selectors do not.
-  double jsd_threshold = 0.85;
-  /// A term belongs to the domain vocabulary when it appears in at least
-  /// this fraction of the page's records (and in >= 2 records).
-  double domain_term_fraction = 0.25;
-  /// Options sampled for the divergence test (all when fewer).
-  size_t options_sampled = 4;
-  /// Minimum records an option's page must show to count as evidence;
-  /// with fewer, domain vocabulary is indistinguishable from record
-  /// prose and the detector conservatively declines.
-  size_t min_records_for_evidence = 5;
-  /// Per-option keyword budget when mining.
-  ProbingOptions per_option_probing;
-};
-
 /// Verdict for one (select, text box) pair.
 struct DbSelectVerdict {
   std::string select_input;
@@ -58,25 +39,27 @@ struct DbSelectVerdict {
 
 /// Tests whether `select_input` selects among databases for
 /// `text_input`, the form's keyword box. Pure detection; no keyword
-/// mining. A divergence above the threshold is confirmed by probing
-/// each sampled option's distinctive term in the keyword box with the
-/// select unbound: when two or more of them retrieve a page other than
-/// the unconstrained one, the box searches all options at once and the
+/// mining. Up to four options are probed with the box left free, and
+/// the mean pairwise Jensen-Shannon divergence of their domain
+/// vocabularies (terms repeating across a page's records) decides. A
+/// divergence above the threshold is confirmed by probing each sampled
+/// option's distinctive term in the keyword box with the select
+/// unbound: when two or more of them retrieve a page other than the
+/// unconstrained one, the box searches all options at once and the
 /// select is an ordinary field-equality filter.
 Result<DbSelectVerdict> DetectDbSelector(FormProber* prober,
                                          const std::string& select_input,
-                                         const std::string& text_input,
-                                         const DbSelectOptions& options = {});
+                                         const std::string& text_input);
 
-/// Detection plus per-option keyword mining via iterative probing. When
-/// the probe budget runs out during mining, the verdict keeps the
-/// options mined in full before it.
+/// Detection plus per-option keyword mining via iterative probing, each
+/// option mined under `per_option`. When the probe budget runs out during
+/// mining, the verdict keeps the options mined in full before it.
 Result<DbSelectVerdict> MineDbSelector(
     FormProber* prober, const std::string& select_input,
     const std::string& text_input,
     const std::vector<std::string>& seed_words,
     const std::function<double(const std::string&)>& df_lookup,
-    const DbSelectOptions& options = {});
+    const ProbingOptions& per_option = {});
 
 }  // namespace core
 }  // namespace deepsurf

@@ -8,8 +8,17 @@
 namespace deepsurf {
 namespace core {
 
+namespace {
+
+/// Greedy selection stops when the marginal new-records-per-URL ratio of
+/// the best remaining template drops below this.
+constexpr double kMinMarginalGain = 0.02;
+
+}  // namespace
+
 bool IsIndexable(const EvaluatedTemplate& tmpl,
                  const IndexabilityOptions& options) {
+  // Only pages with results are sampled, so the median is at least 1.
   if (tmpl.records_per_page.empty()) return false;
   std::vector<double> counts;
   counts.reserve(tmpl.records_per_page.size());
@@ -17,12 +26,12 @@ bool IsIndexable(const EvaluatedTemplate& tmpl,
     counts.push_back(static_cast<double>(c));
   }
   double median = stats::Median(counts);
-  return median >= static_cast<double>(options.min_records_per_page) &&
-         median <= static_cast<double>(options.max_records_per_page);
+  return median <= static_cast<double>(options.max_records_per_page);
 }
 
 SurfacingScheme SelectScheme(const std::vector<TemplateInput>& inputs,
                              const TemplateSearchResult& search,
+                             size_t max_urls,
                              const IndexabilityOptions& options) {
   SurfacingScheme scheme;
   std::vector<const EvaluatedTemplate*> candidates;
@@ -50,12 +59,11 @@ SurfacingScheme SelectScheme(const std::vector<TemplateInput>& inputs,
       }
     }
     if (best == nullptr || best_gain == 0 ||
-        best_ratio < options.min_marginal_gain) {
+        best_ratio < kMinMarginalGain) {
       break;
     }
     size_t cost = TemplateCardinality(inputs, *best);
-    if (options.max_urls_per_form != 0 &&
-        urls + cost > options.max_urls_per_form) {
+    if (max_urls != 0 && urls + cost > max_urls) {
       candidates.erase(
           std::find(candidates.begin(), candidates.end(), best));
       continue;  // try a cheaper template instead

@@ -19,17 +19,12 @@ namespace deepsurf {
 namespace core {
 
 struct IndexabilityOptions {
-  size_t min_records_per_page = 1;   ///< median below this fails
   size_t max_records_per_page = 100; ///< median above this fails
-  /// Greedy selection stops when the marginal new-records-per-URL ratio
-  /// of the best remaining template drops below this.
-  double min_marginal_gain = 0.02;
-  /// Hard cap on URLs emitted per form (0 = unlimited).
-  size_t max_urls_per_form = 10000;
 };
 
 /// True when the template's sampled records-per-page distribution passes
-/// the indexability window.
+/// the indexability window: it has samples (each is a page with at least
+/// one record) and their median is at most `max_records_per_page`.
 bool IsIndexable(const EvaluatedTemplate& tmpl,
                  const IndexabilityOptions& options);
 
@@ -43,9 +38,13 @@ struct SurfacingScheme {
 
 /// Greedy scheme selection over the informative, indexable templates.
 /// Uses each template's sampled record hashes as its coverage estimate
-/// and its cardinality as its URL cost.
+/// and its cardinality as its URL cost. Selection stops when the best
+/// remaining template's new records per URL drop below 0.02, and skips
+/// a template that would take the scheme past `max_urls` (0 =
+/// unlimited).
 SurfacingScheme SelectScheme(const std::vector<TemplateInput>& inputs,
                              const TemplateSearchResult& search,
+                             size_t max_urls,
                              const IndexabilityOptions& options = {});
 
 }  // namespace core

@@ -10,6 +10,11 @@ namespace core {
 
 namespace {
 
+/// Keywords a search box contributes, at most.
+constexpr size_t kMaxKeywords = 25;
+/// Dependent values per controlling key of a Javascript correlation map.
+constexpr size_t kMaxJsValuesPerKey = 3;
+
 /// Numeric parses of a type's sample dictionary (range probe seeds).
 std::vector<double> NumericSamples(DataType type) {
   std::vector<double> out;
@@ -61,7 +66,7 @@ Result<FormAnalysisContext> AnalyzeInputs(
 
   if (seed_index != nullptr) {
     ctx.context_words = seed_index->CharacteristicTerms(
-        ctx.analyzed.action.host(), options.probing.seed_count);
+        ctx.analyzed.action.host(), kSeedKeywordCount);
   }
   if (ctx.context_words.empty()) {
     // No index knowledge about this host: characterize the site from its
@@ -79,7 +84,7 @@ Result<FormAnalysisContext> AnalyzeInputs(
                   return a.second < b.second;
                 });
       for (const auto& [tf, term] : ranked) {
-        if (ctx.context_words.size() >= options.probing.seed_count) break;
+        if (ctx.context_words.size() >= kSeedKeywordCount) break;
         ctx.context_words.push_back(term);
       }
     }
@@ -90,7 +95,7 @@ Result<FormAnalysisContext> AnalyzeInputs(
     for (const auto& input : ctx.analyzed.inputs) {
       if (input.is_select) continue;
       auto verdict = RecognizeType(ctx.prober.get(), input.name, input.label,
-                                   ctx.context_words, options.typed);
+                                   ctx.context_words);
       if (!verdict.ok()) {
         if (verdict.status().IsResourceExhausted()) break;
         return verdict.status();
@@ -149,7 +154,7 @@ Status MineCandidates(FormAnalysisContext* ctx) {
       for (const auto& [key, deps] : corr.values) {
         size_t used = 0;
         for (const auto& dep : deps) {
-          if (used >= options.max_js_values_per_key) break;
+          if (used >= kMaxJsValuesPerKey) break;
           ++used;
           ti.choices.push_back(
               Bindings{{controller->name, key}, {dependent->name, dep}});
@@ -172,7 +177,7 @@ Status MineCandidates(FormAnalysisContext* ctx) {
         numeric_seed.emplace_back(name, NumericSamples(verdict.type));
       }
     }
-    auto ranges = DetectRanges(prober, numeric_seed, options.ranges);
+    auto ranges = DetectRanges(prober, numeric_seed);
     if (ranges.ok()) {
       for (auto& pair : *ranges) {
         if (pair.confirmed && !ctx->consumed.count(pair.min_input) &&
@@ -214,7 +219,7 @@ Status MineCandidates(FormAnalysisContext* ctx) {
         if (input.select_values.size() < 2) continue;
         auto verdict = MineDbSelector(prober, input.name, search_box,
                                       ctx->context_words, df_lookup,
-                                      options.dbselect);
+                                      ProbingOptions{});
         if (!verdict.ok()) {
           if (verdict.status().IsResourceExhausted()) break;
           return verdict.status();
@@ -249,8 +254,8 @@ Status MineCandidates(FormAnalysisContext* ctx) {
     TemplateInput ti;
     ti.name = input.name;
     if (input.is_select) {
-      ti.choices = SingleChoices(input.name, input.select_values,
-                                 options.max_select_options);
+      ti.choices =
+          SingleChoices(input.name, input.select_values, kMaxSelectOptions);
     } else {
       auto it = result.typed_verdicts.find(input.name);
       DataType type = it == result.typed_verdicts.end()
@@ -264,14 +269,10 @@ Status MineCandidates(FormAnalysisContext* ctx) {
           return mined.status();
         }
         result.search_keywords += mined->selected.size();
-        std::vector<std::string> kept = mined->selected;
-        if (kept.size() > options.max_keywords) {
-          kept.resize(options.max_keywords);
-        }
-        ti.choices = SingleChoices(input.name, kept, options.max_keywords);
+        ti.choices = SingleChoices(input.name, mined->selected, kMaxKeywords);
       } else if (type != DataType::kUnknown) {
-        ti.choices = SingleChoices(input.name, SampleValues(type),
-                                   options.max_typed_samples);
+        ti.choices =
+            SingleChoices(input.name, SampleValues(type), kMaxTypedSamples);
       }
     }
     if (!ti.choices.empty()) ctx->template_inputs.push_back(std::move(ti));
@@ -303,10 +304,9 @@ Status EmitUrls(FormAnalysisContext* ctx) {
   // --- Scheme selection (indexability) and URL generation. ---
   std::vector<const EvaluatedTemplate*> chosen;
   if (options.enable_indexability) {
-    IndexabilityOptions idx_opts = options.indexability;
-    idx_opts.max_urls_per_form = options.max_urls_per_form;
     SurfacingScheme scheme =
-        SelectScheme(ctx->template_inputs, ctx->search, idx_opts);
+        SelectScheme(ctx->template_inputs, ctx->search,
+                     options.max_urls_per_form, options.indexability);
     chosen = scheme.templates;
     result.estimated_distinct_records = scheme.estimated_distinct_records;
   } else {

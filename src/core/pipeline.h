@@ -42,7 +42,15 @@
 namespace deepsurf {
 namespace core {
 
-/// Feature switches + budgets for the whole pipeline.
+/// Candidate values a select input contributes, at most.
+constexpr size_t kMaxSelectOptions = 40;
+/// Dictionary samples a typed text input contributes, at most.
+constexpr size_t kMaxTypedSamples = 10;
+
+/// What the paper's experiments vary: the ablation switches, the
+/// budgets, and the keyword-mining, template-sampling and indexability
+/// settings. Everything else in the pipeline is a constant of the stage
+/// that uses it.
 struct SurfacerOptions {
   bool enable_typed = true;
   bool enable_ranges = true;
@@ -51,18 +59,12 @@ struct SurfacerOptions {
   bool enable_indexability = true;
   /// Probe budget per form during offline analysis (0 = unlimited).
   size_t probe_budget = 600;
-  /// URL cap per form.
+  /// URL cap per form (0 = unlimited).
   size_t max_urls_per_form = 5000;
-  /// Candidate-value caps.
-  size_t max_select_options = 40;
-  size_t max_keywords = 25;
-  size_t max_typed_samples = 10;
-  size_t max_js_values_per_key = 3;
 
-  TypeRecognizerOptions typed;
+  /// Keyword mining for search boxes (per-option db-selection mining
+  /// runs the defaults).
   ProbingOptions probing;
-  RangeDetectorOptions ranges;
-  DbSelectOptions dbselect;
   TemplateOptions templates;
   IndexabilityOptions indexability;
 };

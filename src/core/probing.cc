@@ -11,6 +11,12 @@ namespace core {
 
 namespace {
 
+/// New keywords probed per mining round.
+constexpr size_t kCandidatesPerRound = 12;
+/// Candidate terms with document frequency above this fraction of the
+/// whole index are too generic to distinguish the site.
+constexpr double kMaxDfFraction = 0.2;
+
 /// Generic fallback seeds when the index knows nothing about the site.
 const std::vector<std::string>& FallbackSeeds() {
   static const std::vector<std::string> kSeeds = {
@@ -71,7 +77,7 @@ Result<ProbingResult> IterativeProbe(
         // no topical signal.
         if (strings::IsDigits(term)) continue;
         double df = df_lookup ? df_lookup(term) : 0.0;
-        if (df > options.max_df_fraction) continue;  // too generic
+        if (df > kMaxDfFraction) continue;  // too generic
         // max, not sum: accumulating across pages would re-promote the
         // frequent terms we are trying to avoid.
         pool[term] = std::max(pool[term], 1.0 / rdf);
@@ -86,7 +92,7 @@ Result<ProbingResult> IterativeProbe(
   const auto& seeds = seed_words.empty() ? FallbackSeeds() : seed_words;
   size_t seeded = 0;
   for (const auto& s : seeds) {
-    if (seeded >= options.seed_count) break;
+    if (seeded >= kSeedKeywordCount) break;
     ++seeded;
     DEEPSURF_RETURN_IF_ERROR(probe_keyword(s));
   }
@@ -112,7 +118,7 @@ Result<ProbingResult> IterativeProbe(
     });
     size_t probed_this_round = 0;
     for (const auto& [weight, term] : ranked) {
-      if (probed_this_round >= options.candidates_per_round) break;
+      if (probed_this_round >= kCandidatesPerRound) break;
       ++probed_this_round;
       DEEPSURF_RETURN_IF_ERROR(probe_keyword(term));
     }

@@ -20,15 +20,14 @@
 namespace deepsurf {
 namespace core {
 
+/// Seed keywords tried in round 0. The pipeline, the db-selection miner
+/// and the naive baseline take this many site-characteristic terms.
+constexpr size_t kSeedKeywordCount = 10;
+
 /// Options for iterative keyword probing.
 struct ProbingOptions {
-  size_t seed_count = 10;        ///< seed keywords to try in round 0
   size_t rounds = 3;             ///< mining iterations after the seed round
-  size_t candidates_per_round = 12;  ///< new keywords probed per round
   size_t final_count = 25;       ///< keywords kept after greedy selection
-  /// Candidate terms with document frequency above this fraction of the
-  /// whole index are too generic to distinguish the site.
-  double max_df_fraction = 0.2;
 };
 
 /// One probed keyword with its observed yield.

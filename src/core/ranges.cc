@@ -12,6 +12,9 @@ namespace core {
 
 namespace {
 
+/// Bands a confirmed pair compiles into, at most.
+constexpr size_t kMaxBands = 10;
+
 struct Affix {
   const char* prefix;  ///< nullptr when it is a suffix pattern
   const char* suffix;
@@ -94,13 +97,13 @@ Result<bool> ConfirmPair(FormProber* prober, const std::string& min_input,
 }
 
 std::vector<std::pair<std::string, std::string>> MakeBands(
-    const std::vector<double>& boundaries, size_t max_bands) {
+    const std::vector<double>& boundaries) {
   std::vector<std::pair<std::string, std::string>> bands;
   if (boundaries.size() < 2) return bands;
-  // Thin the boundary list to at most max_bands+1 entries, keeping ends.
+  // Thin the boundary list to at most kMaxBands+1 entries, keeping ends.
   std::vector<double> kept;
   size_t n = boundaries.size();
-  size_t want = std::min(n, max_bands + 1);
+  size_t want = std::min(n, kMaxBands + 1);
   for (size_t i = 0; i < want; ++i) {
     size_t idx = i * (n - 1) / (want - 1);
     kept.push_back(boundaries[idx]);
@@ -117,8 +120,7 @@ std::vector<std::pair<std::string, std::string>> MakeBands(
 Result<std::vector<RangePair>> DetectRanges(
     FormProber* prober,
     const std::vector<std::pair<std::string, std::vector<double>>>&
-        numeric_seed,
-    const RangeDetectorOptions& options) {
+        numeric_seed) {
   const AnalyzedForm& form = prober->form();
   std::vector<RangePair> out;
   std::set<std::string> consumed;
@@ -212,7 +214,7 @@ Result<std::vector<RangePair>> DetectRanges(
     }
     pair.confirmed = ok;
     if (ok) {
-      pair.bands = MakeBands(boundaries, options.max_bands);
+      pair.bands = MakeBands(boundaries);
       consumed.insert(pair.min_input);
       consumed.insert(pair.max_input);
     }

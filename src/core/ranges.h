@@ -33,12 +33,6 @@ struct RangePair {
   size_t probes_used = 0;
 };
 
-struct RangeDetectorOptions {
-  size_t max_bands = 10;
-  /// Values probed per confirmation attempt.
-  size_t confirm_probes = 4;
-};
-
 /// Splits `name` into (affix kind, stem) when it matches a known range
 /// affix pattern. Returns +1 for a max-side affix, -1 for min-side, 0 for
 /// no match. Exposed for tests.
@@ -47,12 +41,12 @@ int ClassifyRangeAffix(const std::string& name, std::string* stem);
 /// Detects and confirms range pairs on the prober's form. `numeric_seed`
 /// supplies numeric probe values per input when the input is a text box
 /// (typically from typed-input recognition or from numbers mined off the
-/// default result page); selects use their own numeric options.
+/// default result page); selects use their own numeric options. A
+/// confirmed pair compiles into at most ten bands.
 Result<std::vector<RangePair>> DetectRanges(
     FormProber* prober,
     const std::vector<std::pair<std::string, std::vector<double>>>&
-        numeric_seed,
-    const RangeDetectorOptions& options = {});
+        numeric_seed);
 
 }  // namespace core
 }  // namespace deepsurf

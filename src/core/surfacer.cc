@@ -48,8 +48,8 @@ Result<NaiveSurfacingResult> Surfacer::NaiveSurface(
 
   std::vector<std::string> context_words;
   if (seed_index_ != nullptr) {
-    context_words = seed_index_->CharacteristicTerms(
-        analyzed.action.host(), options_.probing.seed_count);
+    context_words = seed_index_->CharacteristicTerms(analyzed.action.host(),
+                                                     kSeedKeywordCount);
   }
 
   // Candidate values per input; "leave free" ("") is one candidate, which
@@ -61,14 +61,14 @@ Result<NaiveSurfacingResult> Surfacer::NaiveSurface(
     if (input.is_select) {
       for (const auto& v : input.select_values) {
         if (v.empty()) continue;
-        if (choices.size() > options_.max_select_options) break;
+        if (choices.size() > kMaxSelectOptions) break;
         choices.push_back(Bindings{{input.name, v}});
       }
     } else {
       // Naive systems bind text boxes with whatever dictionary they have;
       // reuse the typed dictionaries and site words, no validation.
-      auto verdict = RecognizeType(&prober, input.name, input.label,
-                                   context_words, options_.typed);
+      auto verdict =
+          RecognizeType(&prober, input.name, input.label, context_words);
       DataType type = verdict.ok() ? verdict->type : DataType::kUnknown;
       std::vector<std::string> values;
       if (type == DataType::kSearchBox) {
@@ -78,7 +78,7 @@ Result<NaiveSurfacingResult> Surfacer::NaiveSurface(
       }
       size_t used = 0;
       for (const auto& v : values) {
-        if (used >= options_.max_typed_samples) break;
+        if (used >= kMaxTypedSamples) break;
         ++used;
         choices.push_back(Bindings{{input.name, v}});
       }

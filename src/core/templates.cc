@@ -19,16 +19,23 @@ std::vector<const EvaluatedTemplate*> TemplateSearchResult::Informative()
 
 namespace {
 
+/// Minimum distinct fraction of an informative template.
+constexpr double kInformativeThreshold = 0.25;
+/// Template size cap ([12] uses 3).
+constexpr size_t kMaxDimension = 3;
+/// Candidate bindings sampled per input.
+constexpr size_t kMaxChoicesPerInput = 40;
+
 /// Deterministically samples up to `k` assignments from the cross product
 /// of the template's inputs, spreading samples across each input's choice
 /// list (stride sampling — no RNG so analysis is reproducible).
 std::vector<Bindings> SampleAssignments(
     const std::vector<TemplateInput>& inputs,
-    const std::vector<size_t>& tmpl, size_t k, size_t cap_per_input) {
+    const std::vector<size_t>& tmpl, size_t k) {
   std::vector<size_t> sizes;
   size_t total = 1;
   for (size_t idx : tmpl) {
-    size_t n = std::min(inputs[idx].choices.size(), cap_per_input);
+    size_t n = std::min(inputs[idx].choices.size(), kMaxChoicesPerInput);
     if (n == 0) return {};
     sizes.push_back(n);
     if (total < (size_t)1 << 40) total *= n;
@@ -66,8 +73,7 @@ Result<TemplateSearchResult> SearchTemplates(
     EvaluatedTemplate ev;
     ev.inputs = std::move(tmpl);
     auto assignments =
-        SampleAssignments(inputs, ev.inputs, options.sample_assignments,
-                          options.max_choices_per_input);
+        SampleAssignments(inputs, ev.inputs, options.sample_assignments);
     std::set<uint64_t> signatures;
     std::set<uint64_t> records;
     size_t pages = 0;
@@ -92,8 +98,6 @@ Result<TemplateSearchResult> SearchTemplates(
         signatures.insert(probe->signature);
         for (uint64_t h : probe->record_hashes) records.insert(h);
         ev.records_per_page.push_back(probe->record_count);
-      } else if (!options.count_empty_as_duplicate) {
-        signatures.insert(probe->signature);
       }
     }
     if (pages > 0) {
@@ -101,7 +105,7 @@ Result<TemplateSearchResult> SearchTemplates(
           static_cast<double>(signatures.size()) / static_cast<double>(pages);
     }
     ev.informative = pages > 0 && signatures.size() >= 2 &&
-                     ev.distinct_fraction >= options.informative_threshold;
+                     ev.distinct_fraction >= kInformativeThreshold;
     ev.sample_record_hashes.assign(records.begin(), records.end());
     return ev;
   };
@@ -139,8 +143,7 @@ Result<TemplateSearchResult> SearchTemplates(
     if (ev.informative) informative_singletons.insert(ev.inputs[0]);
   }
   for (size_t dim = 2;
-       dim <= options.max_dimension && !frontier.empty() &&
-       !budget_exhausted;
+       dim <= kMaxDimension && !frontier.empty() && !budget_exhausted;
        ++dim) {
     std::vector<std::vector<size_t>> next;
     for (const auto& base : frontier) {

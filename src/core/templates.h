@@ -47,13 +47,7 @@ struct EvaluatedTemplate {
 };
 
 struct TemplateOptions {
-  double informative_threshold = 0.25;  ///< min distinct fraction
-  size_t max_dimension = 3;             ///< template size cap ([12] uses 3)
   size_t sample_assignments = 16;       ///< probes per template evaluation
-  size_t max_choices_per_input = 40;    ///< candidate-binding cap
-  /// Pages with zero records count as duplicates of each other (they are:
-  /// every empty page renders identically).
-  bool count_empty_as_duplicate = true;
 };
 
 /// Result of the lattice search.
@@ -65,7 +59,12 @@ struct TemplateSearchResult {
   std::vector<const EvaluatedTemplate*> Informative() const;
 };
 
-/// Runs the bottom-up informative-template search.
+/// Runs the bottom-up informative-template search. Templates bind at
+/// most three inputs ([12] uses 3). One is informative when its sampled
+/// pages that show records carry at least two distinct signatures, and
+/// at least one per four pages sampled. Pages with zero records count as
+/// duplicates of each other (they are: every empty page renders
+/// identically).
 Result<TemplateSearchResult> SearchTemplates(
     FormProber* prober, const std::vector<TemplateInput>& inputs,
     const TemplateOptions& options = {});

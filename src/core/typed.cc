@@ -107,6 +107,16 @@ bool NameHint(DataType type, const std::string& name,
 
 namespace {
 
+/// Probes planned per candidate type and for the search-box test.
+constexpr size_t kSamplesPerType = 6;
+constexpr size_t kGarbageProbes = 3;
+/// A type must succeed on at least this fraction of samples...
+constexpr double kMinHitRate = 0.34;
+/// ...and beat garbage by at least this margin.
+constexpr double kMargin = 0.25;
+/// Site words probed to detect search boxes (hit rate needed).
+constexpr double kSearchBoxMinHitRate = 0.4;
+
 /// Success = the probe produced a page with at least one record. Plans
 /// min(limit, values.size()) probes and returns hits over that planned
 /// count. The test is sequential: `accepts` is the caller's acceptance
@@ -143,8 +153,8 @@ Result<double> HitRate(FormProber* prober, const std::string& input_name,
 
 Result<TypeVerdict> RecognizeType(
     FormProber* prober, const std::string& input_name,
-    const std::string& label, const std::vector<std::string>& context_words,
-    const TypeRecognizerOptions& options) {
+    const std::string& label,
+    const std::vector<std::string>& context_words) {
   TypeVerdict verdict;
 
   // 1. Garbage baseline: random-looking strings that belong to no value
@@ -153,7 +163,7 @@ Result<TypeVerdict> RecognizeType(
       "xqzkvwpt", "zzqy1742", "vkwqjxx", "qqqzzzv", "xjqv9wz"};
   DEEPSURF_ASSIGN_OR_RETURN(
       verdict.garbage_rate,
-      HitRate(prober, input_name, kGarbage, options.garbage_probes,
+      HitRate(prober, input_name, kGarbage, kGarbageProbes,
               [](double) { return true; }, &verdict.probes_used));
 
   // 2. Search-box test first: a box that retrieves records for the
@@ -167,12 +177,12 @@ Result<TypeVerdict> RecognizeType(
     if (!strings::IsDigits(w)) prose_context.push_back(w);
   }
   auto is_search_box = [&](double rate) {
-    return rate >= options.search_box_min_hit_rate &&
-           rate >= verdict.garbage_rate + options.margin;
+    return rate >= kSearchBoxMinHitRate &&
+           rate >= verdict.garbage_rate + kMargin;
   };
   DEEPSURF_ASSIGN_OR_RETURN(
       double search_rate,
-      HitRate(prober, input_name, prose_context, options.samples_per_type,
+      HitRate(prober, input_name, prose_context, kSamplesPerType,
               is_search_box, &verdict.probes_used));
   if (is_search_box(search_rate)) {
     verdict.type = DataType::kSearchBox;
@@ -190,14 +200,14 @@ Result<TypeVerdict> RecognizeType(
   DataType best = DataType::kUnknown;
   double best_rate = 0.0;
   auto beats_best = [&](double rate) {
-    return rate >= options.min_hit_rate &&
-           rate >= verdict.garbage_rate + options.margin && rate > best_rate;
+    return rate >= kMinHitRate && rate >= verdict.garbage_rate + kMargin &&
+           rate > best_rate;
   };
   for (DataType type : order) {
     DEEPSURF_ASSIGN_OR_RETURN(
         double rate,
-        HitRate(prober, input_name, SampleValues(type),
-                options.samples_per_type, beats_best, &verdict.probes_used));
+        HitRate(prober, input_name, SampleValues(type), kSamplesPerType,
+                beats_best, &verdict.probes_used));
     if (beats_best(rate)) {
       best = type;
       best_rate = rate;

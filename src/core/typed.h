@@ -59,31 +59,16 @@ struct TypeVerdict {
   size_t probes_used = 0;
 };
 
-/// Options for recognition.
-struct TypeRecognizerOptions {
-  size_t samples_per_type = 6;
-  size_t garbage_probes = 3;
-  /// A type must succeed on at least this fraction of samples...
-  double min_hit_rate = 0.34;
-  /// ...and beat garbage by at least this margin.
-  double margin = 0.25;
-  /// Site words probed to detect search boxes (hit rate needed).
-  double search_box_min_hit_rate = 0.4;
-};
-
 /// Recognizes the type of one text input by probing. `context_words` are
 /// site-characteristic words (from already-indexed pages of the host)
 /// used for the search-box test. Every probe binds only this input,
-/// leaving the rest of the form free. Each test plans
-/// `samples_per_type` probes but is sequential: it stops once the hits
-/// it still needs to pass are out of reach. The verdict's type is the
-/// one probing every planned sample would give, since a test that stops
-/// could not have passed.
-Result<TypeVerdict> RecognizeType(FormProber* prober,
-                                  const std::string& input_name,
-                                  const std::string& label,
-                                  const std::vector<std::string>& context_words,
-                                  const TypeRecognizerOptions& options = {});
+/// leaving the rest of the form free. Each test plans six probes but is
+/// sequential: it stops once the hits it still needs to pass are out of
+/// reach. The verdict's type is the one probing every planned sample
+/// would give, since a test that stops could not have passed.
+Result<TypeVerdict> RecognizeType(
+    FormProber* prober, const std::string& input_name,
+    const std::string& label, const std::vector<std::string>& context_words);
 
 }  // namespace core
 }  // namespace deepsurf

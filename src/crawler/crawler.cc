@@ -62,7 +62,8 @@ Status Crawler::Crawl(const std::vector<std::string>& seeds) {
       if (seen_form_keys_.count(key)) continue;
       seen_form_keys_.insert(key);
       ++stats_.forms_found;
-      forms_.push_back(DiscoveredForm{url, std::move(form)});
+      forms_.push_back(
+          DiscoveredForm{url, std::move(form), html::ExtractScriptText(*dom)});
     }
     // Enqueue same-web links.
     for (const auto& link : html::ExtractLinks(*dom)) {

@@ -24,10 +24,12 @@ namespace deepsurf {
 namespace crawler {
 
 /// One discovered form, with the URL of the page it was found on (needed
-/// to resolve the form's relative action).
+/// to resolve the form's relative action) and that page's script text
+/// (the Javascript-correlation miner's input).
 struct DiscoveredForm {
   net::Url page_url;
   html::Form form;
+  std::string page_scripts;
 };
 
 /// Crawl limits and behaviour.

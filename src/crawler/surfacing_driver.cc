@@ -14,6 +14,9 @@ namespace crawler {
 
 namespace {
 
+/// Documents per InsertBatch call during ingestion.
+constexpr size_t kIndexBatchSize = 64;
+
 /// SplitMix64 finalizer: decorrelates the per-form streams derived from
 /// consecutive work-list indices.
 uint64_t DeriveStream(uint64_t seed, uint64_t index) {
@@ -39,29 +42,16 @@ void SurfacingDriver::ProcessForm(const std::vector<DiscoveredForm>& forms,
   out.page_url = discovered.page_url;
   out.rng_stream = DeriveStream(options_.seed, i);
 
-  // The work-list carries the form, not the page; re-fetch the page for
-  // its script blocks (the JS-correlation miner's input). The fetch goes
-  // through the scheduler, so a page probed by any earlier analysis is a
-  // cache hit.
-  std::string scripts;
-  if (auto page = scheduler_->Fetch(discovered.page_url); page.ok()) {
-    auto dom = html::Parse(page->body);
-    scripts = html::ExtractScriptText(*dom);
-  }
-
   core::Surfacer surfacer(scheduler_, options_.seed_index,
                           options_.surfacer);
   auto result = surfacer.Surface(discovered.page_url, discovered.form,
-                                 scripts);
+                                 discovered.page_scripts);
   if (!result.ok()) {
     out.status = result.status();
     return;
   }
   out.result = std::move(*result);
-  if (out.result.skipped_post || !options_.index_pages ||
-      out_index_ == nullptr) {
-    return;
-  }
+  if (out.result.skipped_post) return;
 
   // Ingest the surfaced pages. The fetch order is shuffled with the
   // form's own RNG stream (a real deployment spreads the load rather
@@ -74,7 +64,7 @@ void SurfacingDriver::ProcessForm(const std::vector<DiscoveredForm>& forms,
 
   std::vector<index::Document> batch;
   std::vector<const core::SurfacedUrl*> batch_sources;
-  batch.reserve(options_.index_batch_size);
+  batch.reserve(kIndexBatchSize);
   auto flush = [&] {
     if (batch.empty()) return;
     std::vector<bool> newly_added;
@@ -110,10 +100,7 @@ void SurfacingDriver::ProcessForm(const std::vector<DiscoveredForm>& forms,
     doc.source_host = surfaced.url.host();
     batch.push_back(std::move(doc));
     batch_sources.push_back(&surfaced);
-    if (batch.size() >= options_.index_batch_size &&
-        options_.index_batch_size != 0) {
-      flush();
-    }
+    if (batch.size() >= kIndexBatchSize) flush();
   }
   flush();
 }
@@ -123,9 +110,8 @@ Result<SurfacingDriverStats> SurfacingDriver::Run(
   if (!outcomes_.empty()) {
     return Status::FailedPrecondition("SurfacingDriver::Run called twice");
   }
-  if (options_.index_pages && out_index_ == nullptr) {
-    return Status::InvalidArgument(
-        "index_pages requires an output index");
+  if (out_index_ == nullptr) {
+    return Status::InvalidArgument("SurfacingDriver needs an output index");
   }
   if (options_.seed_index != nullptr &&
       static_cast<const index::SearchIndex*>(options_.seed_index) ==

@@ -3,9 +3,9 @@
 // The corpus-level surfacing driver: takes the crawler's DiscoveredForm
 // work-list and fans per-form analyses out across N worker threads, all
 // probing through one shared ProbeScheduler (cross-form probe cache,
-// in-flight coalescing) and batch-ingesting surfaced pages into any
-// thread-safe WritableIndex (a lone InvertedIndex or the sharded serving
-// index). This is the paper's deployment shape — one
+// in-flight coalescing) and ingesting surfaced pages, 64 documents per
+// batch, into any thread-safe WritableIndex (a lone InvertedIndex or the
+// sharded serving index). This is the paper's deployment shape — one
 // offline system analyzing millions of forms with a light load on each
 // site — scaled down to the simulated web.
 //
@@ -51,10 +51,6 @@ struct SurfacingDriverOptions {
   /// unsynchronized, and seeds that shift as ingestion progresses would
   /// break run-to-run determinism. May be null.
   const index::InvertedIndex* seed_index = nullptr;
-  /// Fetch surfaced pages and ingest them into the output index.
-  bool index_pages = true;
-  /// Documents per InsertBatch call during ingestion.
-  size_t index_batch_size = 64;
   /// When non-null, the binding annotations of every newly indexed page
   /// are recorded here (paper §5.1); writes are serialized by the driver.
   extract::AnnotationStore* annotations = nullptr;
@@ -88,13 +84,13 @@ struct SurfacingDriverStats {
 class SurfacingDriver {
  public:
   /// `scheduler` and `out_index` are borrowed and must outlive the
-  /// driver. `out_index` may be null when options.index_pages is false.
+  /// driver. Run fails when `out_index` is null.
   SurfacingDriver(net::ProbeScheduler* scheduler,
                   index::WritableIndex* out_index,
                   SurfacingDriverOptions options = {});
 
-  /// Analyzes every discovered form and (optionally) ingests the surfaced
-  /// pages. Returns the run summary; per-form detail is in outcomes().
+  /// Analyzes every discovered form and ingests the surfaced pages.
+  /// Returns the run summary; per-form detail is in outcomes().
   Result<SurfacingDriverStats> Run(const std::vector<DiscoveredForm>& forms);
 
   /// Per-form outcomes, indexed like the Run work-list.

@@ -5,13 +5,17 @@
 namespace deepsurf {
 namespace net {
 
-ProbeScheduler::ProbeScheduler(SimulatedWeb* web,
-                               ProbeSchedulerOptions options)
-    : web_(web), options_(options) {}
+namespace {
+
+/// Cached responses kept, least-recently-used evicted first.
+constexpr size_t kCacheCapacity = 4096;
+
+}  // namespace
+
+ProbeScheduler::ProbeScheduler(SimulatedWeb* web) : web_(web) {}
 
 void ProbeScheduler::InsertLocked(const std::string& key,
                                   const Result<HttpResponse>& r) {
-  if (options_.cache_capacity == 0) return;
   // Transport errors and server errors (5xx) are treated as transient and
   // never cached — one flaky response must not poison a URL for the
   // scheduler's whole lifetime. Deterministic outcomes (2xx-4xx pages)
@@ -22,7 +26,7 @@ void ProbeScheduler::InsertLocked(const std::string& key,
   lru_.push_front(key);
   auto [it, inserted] = cache_.emplace(key, CacheEntry{r, lru_.begin()});
   DS_CHECK(inserted) << "duplicate probe cache insert: " << key;
-  while (cache_.size() > options_.cache_capacity) {
+  while (cache_.size() > kCacheCapacity) {
     const std::string& victim = lru_.back();
     cache_.erase(victim);
     lru_.pop_back();

@@ -5,9 +5,9 @@
 // analyzed offline with a light load on each site — needs a fetch layer
 // that never issues the same probe twice, across forms or across the
 // threads analysing them. The scheduler provides that: a
-// normalized-URL-keyed LRU probe cache with hit/miss statistics, and
-// in-flight request coalescing (two threads probing the same URL share
-// one fetch). Per-host site load is the web's own count
+// normalized-URL-keyed LRU probe cache of 4096 responses with hit/miss
+// statistics, and in-flight request coalescing (two threads probing the
+// same URL share one fetch). Per-host site load is the web's own count
 // (SimulatedWeb::TrafficFor); the surfacer's politeness control is its
 // per-form probe budget (SurfacerOptions::probe_budget).
 
@@ -30,13 +30,6 @@
 namespace deepsurf {
 namespace net {
 
-/// Scheduler configuration.
-struct ProbeSchedulerOptions {
-  /// Cached responses kept, least-recently-used evicted first. 0 disables
-  /// caching entirely (every fetch goes to the network).
-  size_t cache_capacity = 4096;
-};
-
 /// Cumulative scheduler counters (all since construction).
 struct ProbeSchedulerStats {
   uint64_t requests = 0;        ///< Fetch calls
@@ -57,8 +50,7 @@ struct ProbeSchedulerStats {
 /// methods are safe to call from any thread.
 class ProbeScheduler {
  public:
-  explicit ProbeScheduler(SimulatedWeb* web,
-                          ProbeSchedulerOptions options = {});
+  explicit ProbeScheduler(SimulatedWeb* web);
 
   ProbeScheduler(const ProbeScheduler&) = delete;
   ProbeScheduler& operator=(const ProbeScheduler&) = delete;
@@ -94,7 +86,6 @@ class ProbeScheduler {
   void InsertLocked(const std::string& key, const Result<HttpResponse>& r);
 
   SimulatedWeb* web_;
-  const ProbeSchedulerOptions options_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, CacheEntry> cache_;

@@ -5,6 +5,13 @@
 namespace deepsurf {
 namespace querylog {
 
+namespace {
+
+/// Hits retrieved per replayed query.
+constexpr size_t kTopK = 10;
+
+}  // namespace
+
 std::vector<double> ImpactReport::CumulativeHostCurve() const {
   std::vector<uint64_t> counts;
   counts.reserve(clicks_by_host.size());
@@ -40,7 +47,7 @@ ImpactReport MeasureImpact(QueryStream* stream,
   for (size_t q = 0; q < options.num_queries; ++q) {
     QueryRecord query = stream->Next();
     ++report.queries;
-    auto hits = index.Search(query.text, options.top_k);
+    auto hits = index.Search(query.text, kTopK);
     if (hits.empty()) continue;
     ++report.queries_with_results;
     bool any_deep = false;

@@ -22,9 +22,8 @@ namespace querylog {
 
 /// The click model: the user clicks the top-ranked hit; a deep-web result
 /// "impacts" a query when it is that clicked hit (stricter than just
-/// appearing in the top k).
+/// appearing in the top 10 hits retrieved per query).
 struct ImpactOptions {
-  size_t top_k = 10;        ///< hits retrieved per query
   size_t num_queries = 20000;
 };
 
@@ -34,7 +33,7 @@ struct ImpactReport {
   size_t queries_with_results = 0;
   /// Queries whose clicked (top) result is a surfaced deep-web page.
   size_t deep_web_clicks = 0;
-  /// Queries where a deep-web page appears anywhere in the top k.
+  /// Queries where a deep-web page appears anywhere in the top 10 hits.
   size_t deep_web_in_top_k = 0;
   /// Per-host deep-web click counts (host == form site).
   std::map<std::string, uint64_t> clicks_by_host;

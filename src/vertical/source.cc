@@ -19,6 +19,11 @@ const InputMapping* Source::MappingFor(const std::string& attribute,
 
 namespace {
 
+/// Sample submissions fetched to build the content summary.
+constexpr size_t kSampleProbes = 3;
+/// Minimum fraction of user inputs mapped for a classification to hold.
+constexpr double kMinClassificationScore = 0.34;
+
 /// Scores a schema against a form: fraction of user inputs whose name or
 /// label matches some attribute synonym (range affixes stripped first).
 double ClassifyAgainst(const MediatedSchema& schema,
@@ -52,8 +57,7 @@ double ClassifyAgainst(const MediatedSchema& schema,
 
 Result<Source> RegisterSource(net::SimulatedWeb* web,
                               const net::Url& page_url,
-                              const html::Form& form,
-                              const RegistrationOptions& options) {
+                              const html::Form& form) {
   Source source;
   DEEPSURF_ASSIGN_OR_RETURN(source.form,
                             core::AnalyzeForm(page_url, form));
@@ -70,7 +74,7 @@ Result<Source> RegisterSource(net::SimulatedWeb* web,
       best_mappings = std::move(mappings);
     }
   }
-  if (best == nullptr || best_score < options.min_classification_score) {
+  if (best == nullptr || best_score < kMinClassificationScore) {
     return Status::NotFound("form matches no mediated schema well enough");
   }
   source.domain = best->domain;
@@ -82,7 +86,7 @@ Result<Source> RegisterSource(net::SimulatedWeb* web,
   core::FormProber prober(web, source.form, /*budget=*/0);
   size_t sampled = 0;
   for (const auto& m : source.mappings) {
-    if (sampled >= options.sample_probes) break;
+    if (sampled >= kSampleProbes) break;
     if (!m.is_select) continue;
     for (const auto& v : m.select_values) {
       if (v.empty()) continue;

@@ -48,20 +48,13 @@ struct Source {
                                  int range_side) const;
 };
 
-struct RegistrationOptions {
-  /// Sample submissions fetched to induce the wrapper / summary.
-  size_t sample_probes = 3;
-  /// Minimum fraction of user inputs mapped for a classification to hold.
-  double min_classification_score = 0.34;
-};
-
 /// Registers a form against the built-in schemas. Fails (NotFound) when
-/// no domain reaches the classification threshold — the unclassifiable
-/// forms the paper says dominate at web scale.
+/// no domain maps at least 0.34 of the form's inputs — the
+/// unclassifiable forms the paper says dominate at web scale. Up to
+/// three sampled result pages build the content summary.
 Result<Source> RegisterSource(net::SimulatedWeb* web,
                               const net::Url& page_url,
-                              const html::Form& form,
-                              const RegistrationOptions& options = {});
+                              const html::Form& form);
 
 }  // namespace vertical
 }  // namespace deepsurf

@@ -10,14 +10,21 @@
 namespace deepsurf {
 namespace vertical {
 
-VerticalEngine::VerticalEngine(net::SimulatedWeb* web, EngineOptions options)
-    : web_(web), options_(options) {}
+VerticalEngine::VerticalEngine(net::SimulatedWeb* web) : web_(web) {}
 
 void VerticalEngine::AddSource(Source source) {
   sources_.push_back(std::move(source));
 }
 
 namespace {
+
+/// Sources queried per structured query, at most.
+constexpr size_t kMaxSourcesPerQuery = 8;
+/// Records kept per answer, at most.
+constexpr size_t kMaxRecords = 50;
+/// A source must map this fraction of the query's constraints to be
+/// routed to.
+constexpr double kMinConstraintCoverage = 0.5;
 
 /// Picks the select option equal to `value` case-insensitively, or for
 /// numeric selects the closest option >= (`side` < 0) / <= (`side` > 0)
@@ -91,7 +98,7 @@ bool VerticalEngine::Reformulate(const Source& source,
   if (query.constraints.empty()) return true;
   return static_cast<double>(expressed) /
              static_cast<double>(query.constraints.size()) >=
-         options_.min_constraint_coverage;
+         kMinConstraintCoverage;
 }
 
 Result<RoutedAnswer> VerticalEngine::Answer(const StructuredQuery& query) {
@@ -115,7 +122,7 @@ Result<RoutedAnswer> VerticalEngine::Answer(const StructuredQuery& query) {
     for (const auto& t : index::Tokenize(c.value)) value_tokens.push_back(t);
   }
   for (const Source* source : candidates) {
-    if (answer.sources_queried >= options_.max_sources_per_query) break;
+    if (answer.sources_queried >= kMaxSourcesPerQuery) break;
     core::Bindings bindings;
     if (!Reformulate(*source, query, &bindings)) continue;
     if (source->form.is_post) {
@@ -167,9 +174,7 @@ Result<RoutedAnswer> VerticalEngine::Answer(const StructuredQuery& query) {
                    [](const AnswerRecord& a, const AnswerRecord& b) {
                      return a.score > b.score;
                    });
-  if (answer.records.size() > options_.max_records) {
-    answer.records.resize(options_.max_records);
-  }
+  if (answer.records.size() > kMaxRecords) answer.records.resize(kMaxRecords);
   return answer;
 }
 

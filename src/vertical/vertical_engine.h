@@ -52,18 +52,12 @@ struct RoutedAnswer {
   size_t requests_made = 0;     ///< total fetches caused by this query
 };
 
-struct EngineOptions {
-  size_t max_sources_per_query = 8;
-  size_t max_records = 50;
-  /// A source must map this fraction of the query's constraints to be
-  /// routed to.
-  double min_constraint_coverage = 0.5;
-};
-
-/// The mediator.
+/// The mediator. A query is routed to at most eight sources, each of
+/// which must express at least half of its constraints, and the answer
+/// keeps the 50 best records.
 class VerticalEngine {
  public:
-  explicit VerticalEngine(net::SimulatedWeb* web, EngineOptions options = {});
+  explicit VerticalEngine(net::SimulatedWeb* web);
 
   /// Registers a source (already classified + mapped).
   void AddSource(Source source);
@@ -90,7 +84,6 @@ class VerticalEngine {
                    core::Bindings* bindings) const;
 
   net::SimulatedWeb* web_;
-  EngineOptions options_;
   std::vector<Source> sources_;
 };
 

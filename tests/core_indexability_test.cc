@@ -26,13 +26,6 @@ TEST(IndexabilityTest, MedianInWindowPasses) {
   EXPECT_TRUE(IsIndexable(t, {}));
 }
 
-TEST(IndexabilityTest, TooFewRecordsFails) {
-  IndexabilityOptions opts;
-  opts.min_records_per_page = 3;
-  auto t = MakeTemplate({0}, {1, 1, 2}, {1});
-  EXPECT_FALSE(IsIndexable(t, opts));
-}
-
 TEST(IndexabilityTest, TooManyRecordsFails) {
   IndexabilityOptions opts;
   opts.max_records_per_page = 50;
@@ -81,7 +74,7 @@ TEST_F(SchemeTest, PicksCheaperTemplateForSameCoverage) {
   for (uint64_t h = 1; h <= 30; ++h) hashes.push_back(h);
   search_.evaluated.push_back(MakeTemplate({0}, {10, 10, 10}, hashes));
   search_.evaluated.push_back(MakeTemplate({1}, {3, 3, 3}, hashes));
-  auto scheme = SelectScheme(inputs_, search_, {});
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/0);
   ASSERT_EQ(scheme.templates.size(), 1u);
   EXPECT_EQ(scheme.templates[0]->inputs, (std::vector<size_t>{0}));
   EXPECT_EQ(scheme.estimated_urls, 3u);
@@ -93,7 +86,7 @@ TEST_F(SchemeTest, AddsTemplatesForNewCoverage) {
       MakeTemplate({0}, {10, 10}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
   search_.evaluated.push_back(
       MakeTemplate({1}, {5, 5}, {11, 12, 13, 14, 15, 16, 17, 18, 19, 20}));
-  auto scheme = SelectScheme(inputs_, search_, {});
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/0);
   EXPECT_EQ(scheme.templates.size(), 2u);
   EXPECT_EQ(scheme.estimated_distinct_records, 20u);
 }
@@ -103,7 +96,7 @@ TEST_F(SchemeTest, SkipsRedundantTemplate) {
       MakeTemplate({0}, {10, 10}, {1, 2, 3, 4, 5, 6, 7, 8}));
   // Subset coverage, more URLs: adds nothing.
   search_.evaluated.push_back(MakeTemplate({1}, {5, 5}, {1, 2, 3}));
-  auto scheme = SelectScheme(inputs_, search_, {});
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/0);
   ASSERT_EQ(scheme.templates.size(), 1u);
   EXPECT_EQ(scheme.templates[0]->inputs, (std::vector<size_t>{0}));
 }
@@ -113,38 +106,45 @@ TEST_F(SchemeTest, NonIndexableExcluded) {
   opts.max_records_per_page = 50;
   search_.evaluated.push_back(
       MakeTemplate({0}, {500, 600}, {1, 2, 3}));  // mega pages
-  auto scheme = SelectScheme(inputs_, search_, opts);
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/0, opts);
   EXPECT_TRUE(scheme.templates.empty());
 }
 
 TEST_F(SchemeTest, UninformativeExcluded) {
   search_.evaluated.push_back(
       MakeTemplate({0}, {10, 10}, {1, 2, 3}, /*informative=*/false));
-  auto scheme = SelectScheme(inputs_, search_, {});
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/0);
   EXPECT_TRUE(scheme.templates.empty());
 }
 
 TEST_F(SchemeTest, UrlCapSkipsExpensiveTemplate) {
-  IndexabilityOptions opts;
-  opts.max_urls_per_form = 5;
   std::vector<uint64_t> big;
   for (uint64_t h = 1; h <= 50; ++h) big.push_back(h);
   search_.evaluated.push_back(MakeTemplate({1}, {10, 10}, big));  // 10 URLs
   search_.evaluated.push_back(
       MakeTemplate({0}, {10, 10}, {1, 2, 3, 4, 5}));  // 3 URLs
-  auto scheme = SelectScheme(inputs_, search_, opts);
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/5);
   ASSERT_EQ(scheme.templates.size(), 1u);
   EXPECT_EQ(scheme.templates[0]->inputs, (std::vector<size_t>{0}));
   EXPECT_LE(scheme.estimated_urls, 5u);
 }
 
 TEST_F(SchemeTest, MarginalGainFloorStopsSelection) {
-  IndexabilityOptions opts;
-  opts.min_marginal_gain = 0.9;  // require ~1 new record per URL
+  // Input 2 has 100 choices, so a one-input template on it costs 100 URLs.
+  inputs_.emplace_back();
+  inputs_[2].name = "c";
+  for (int i = 0; i < 100; ++i) {
+    inputs_[2].choices.push_back(Bindings{{"c", std::to_string(i)}});
+  }
   search_.evaluated.push_back(
-      MakeTemplate({1}, {5, 5}, {1, 2}));  // 2 records / 10 URLs = 0.2
-  auto scheme = SelectScheme(inputs_, search_, opts);
+      MakeTemplate({2}, {5, 5}, {1}));  // 1 record / 100 URLs = 0.01
+  auto scheme = SelectScheme(inputs_, search_, /*max_urls=*/0);
   EXPECT_TRUE(scheme.templates.empty());
+
+  // Above the 0.02 floor the same template is selected.
+  search_.evaluated[0].sample_record_hashes = {1, 2, 3};  // 0.03
+  scheme = SelectScheme(inputs_, search_, /*max_urls=*/0);
+  EXPECT_EQ(scheme.templates.size(), 1u);
 }
 
 }  // namespace

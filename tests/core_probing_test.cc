@@ -53,14 +53,12 @@ TEST_F(ProbingTest, SelectsProductiveKeywords) {
 
 TEST_F(ProbingTest, MiningDiscoversNewKeywords) {
   FormProber prober(&h_->web, h_->analyzed);
-  ProbingOptions opts;
-  opts.seed_count = 4;
-  opts.rounds = 3;
-  auto result = IterativeProbe(&prober, box_, Seeds(), nullptr, opts);
+  auto result = IterativeProbe(&prober, box_, Seeds(), nullptr);
   ASSERT_TRUE(result.ok());
-  // More keywords probed than seeds: mining found candidates on result
-  // pages.
-  EXPECT_GT(result->probed.size(), 4u);
+  // More keywords probed than seeds (all eight fit under the seed count):
+  // mining found candidates on result pages.
+  ASSERT_LE(Seeds().size(), kSeedKeywordCount);
+  EXPECT_GT(result->probed.size(), Seeds().size());
 }
 
 TEST_F(ProbingTest, GreedySelectionOrderedByMarginalGain) {
@@ -90,13 +88,12 @@ TEST_F(ProbingTest, FinalCountCapRespected) {
 
 TEST_F(ProbingTest, DfFilterDropsGenericCandidates) {
   FormProber prober(&h_->web, h_->analyzed);
-  ProbingOptions opts;
-  opts.max_df_fraction = 0.0;  // everything with known df is too generic
+  // Every candidate is in all indexed docs: far above the df cap.
   auto df = [](const std::string&) { return 1.0; };
-  auto result = IterativeProbe(&prober, box_, Seeds(), df, opts);
+  auto result = IterativeProbe(&prober, box_, Seeds(), df);
   ASSERT_TRUE(result.ok());
   // No mining happens: only seeds are ever probed.
-  EXPECT_LE(result->probed.size(), ProbingOptions{}.seed_count);
+  EXPECT_LE(result->probed.size(), Seeds().size());
 }
 
 TEST_F(ProbingTest, FallbackSeedsWhenNoneGiven) {
@@ -116,7 +113,6 @@ TEST_F(ProbingTest, ContextBindingsPinned) {
   // Probing under a context binding issues URLs containing the context.
   FormProber prober(&h_->web, h_->analyzed);
   ProbingOptions opts;
-  opts.seed_count = 2;
   opts.rounds = 0;
   auto result = IterativeProbe(&prober, box_, Seeds(), nullptr, opts,
                                {{"subject", "history"}});

@@ -96,13 +96,11 @@ TEST(RangeDetectTest, ConfirmsSelectPairsOnUsedCars) {
 TEST(RangeDetectTest, BandsArePlausible) {
   auto h = MakeSite(synthweb::Domain::kUsedCars, 97, 300);
   FormProber prober(&h->web, h->analyzed);
-  RangeDetectorOptions opts;
-  opts.max_bands = 5;
-  auto ranges = DetectRanges(&prober, PriceSeeds(h->site->spec()), opts);
+  auto ranges = DetectRanges(&prober, PriceSeeds(h->site->spec()));
   ASSERT_TRUE(ranges.ok());
   for (const auto& pair : *ranges) {
     if (!pair.confirmed) continue;
-    EXPECT_LE(pair.bands.size(), 5u);
+    EXPECT_LE(pair.bands.size(), 10u);
     // Bands ascend and are contiguous.
     for (size_t i = 0; i < pair.bands.size(); ++i) {
       double lo = *strings::ParseDouble(pair.bands[i].first);

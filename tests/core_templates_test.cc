@@ -36,6 +36,34 @@ std::vector<TemplateInput> CarInputs(const synthweb::SiteSpec& spec) {
   return out;
 }
 
+/// Template inputs for a real-estate site: every equality select (state,
+/// bedrooms, property type) plus the price range pair compiled into
+/// bands, so four content inputs can each be informative.
+std::vector<TemplateInput> RealEstateInputs(const synthweb::SiteSpec& spec) {
+  std::vector<TemplateInput> out;
+  TemplateInput price;
+  for (const auto& in : spec.inputs) {
+    if (in.role == synthweb::InputRole::kSelectEq) {
+      TemplateInput ti;
+      ti.name = in.html_name;
+      for (const auto& v : in.options) {
+        if (!v.empty()) ti.choices.push_back(Bindings{{in.html_name, v}});
+      }
+      out.push_back(std::move(ti));
+    }
+    if (in.role == synthweb::InputRole::kRangeMin) {
+      price.name = in.html_name + ".." + in.partner;
+      for (int lo = 0; lo < 500000; lo += 100000) {
+        price.choices.push_back(
+            Bindings{{in.html_name, std::to_string(lo)},
+                     {in.partner, std::to_string(lo + 100000)}});
+      }
+    }
+  }
+  if (!price.choices.empty()) out.push_back(std::move(price));
+  return out;
+}
+
 /// Adds a presentation (sort) input when the generated form has one.
 bool AddSortInput(const synthweb::SiteSpec& spec,
                   std::vector<TemplateInput>* inputs) {
@@ -92,9 +120,8 @@ TEST(TemplateSearchTest, LatticeExtendsOnlyInformativeTemplates) {
   auto h = MakeSite(synthweb::Domain::kUsedCars, 307, 400);
   FormProber prober(&h->web, h->analyzed);
   auto inputs = CarInputs(h->site->spec());
-  TemplateOptions opts;
-  opts.max_dimension = 2;
-  auto search = SearchTemplates(&prober, inputs, opts);
+  ASSERT_EQ(inputs.size(), 2u);
+  auto search = SearchTemplates(&prober, inputs, {});
   ASSERT_TRUE(search.ok());
   bool found_pair = false;
   for (const auto& t : search->evaluated) {
@@ -109,16 +136,23 @@ TEST(TemplateSearchTest, LatticeExtendsOnlyInformativeTemplates) {
 }
 
 TEST(TemplateSearchTest, DimensionCapRespected) {
-  auto h = MakeSite(synthweb::Domain::kUsedCars, 311, 300);
+  auto h = MakeSite(synthweb::Domain::kRealEstate, 311, 1000);
   FormProber prober(&h->web, h->analyzed);
-  auto inputs = CarInputs(h->site->spec());
-  TemplateOptions opts;
-  opts.max_dimension = 1;
-  auto search = SearchTemplates(&prober, inputs, opts);
+  auto inputs = RealEstateInputs(h->site->spec());
+  auto search = SearchTemplates(&prober, inputs, {});
   ASSERT_TRUE(search.ok());
+  size_t informative_singletons = 0;
+  size_t informative_triples = 0;
   for (const auto& t : search->evaluated) {
-    EXPECT_EQ(t.inputs.size(), 1u);
+    EXPECT_LE(t.inputs.size(), 3u);
+    if (!t.informative) continue;
+    if (t.inputs.size() == 1) ++informative_singletons;
+    if (t.inputs.size() == 3) ++informative_triples;
   }
+  // The cap binds: an informative triple has a fourth informative input
+  // to extend by, and the search stops at three anyway.
+  EXPECT_GE(informative_singletons, 4u);
+  EXPECT_GE(informative_triples, 1u);
 }
 
 TEST(TemplateSearchTest, RecordsPerPageCollected) {
@@ -139,9 +173,9 @@ TEST(TemplateSearchTest, ProbeBudgetBounded) {
   auto h = MakeSite(synthweb::Domain::kUsedCars, 317, 300);
   FormProber prober(&h->web, h->analyzed);
   auto inputs = CarInputs(h->site->spec());
+  ASSERT_EQ(inputs.size(), 2u);
   TemplateOptions opts;
   opts.sample_assignments = 5;
-  opts.max_dimension = 2;
   auto search = SearchTemplates(&prober, inputs, opts);
   ASSERT_TRUE(search.ok());
   // 2 singletons + 1 pair, 5 samples each -> <= 15 probes (cache may

@@ -17,6 +17,14 @@ namespace {
 
 using testing_support::MakeSite;
 
+/// The reference's own copy of the recognizer's thresholds, so it does
+/// not read them from the code it checks.
+constexpr size_t kRefSamplesPerType = 6;
+constexpr size_t kRefGarbageProbes = 3;
+constexpr double kRefMinHitRate = 0.34;
+constexpr double kRefMargin = 0.25;
+constexpr double kRefSearchBoxMinHitRate = 0.4;
+
 /// Recognition as it was before each test became sequential: every
 /// planned sample is probed. The reference the sequential test must
 /// agree with; budget exhaustion is not modeled (callers probe without
@@ -24,8 +32,7 @@ using testing_support::MakeSite;
 TypeVerdict ExhaustiveReference(FormProber* prober,
                                 const std::string& input_name,
                                 const std::string& label,
-                                const std::vector<std::string>& context_words,
-                                const TypeRecognizerOptions& options = {}) {
+                                const std::vector<std::string>& context_words) {
   TypeVerdict verdict;
   auto hit_rate = [&](const std::vector<std::string>& values, size_t limit) {
     size_t tried = 0;
@@ -42,14 +49,14 @@ TypeVerdict ExhaustiveReference(FormProber* prober,
   };
   static const std::vector<std::string> kGarbage = {
       "xqzkvwpt", "zzqy1742", "vkwqjxx", "qqqzzzv", "xjqv9wz"};
-  verdict.garbage_rate = hit_rate(kGarbage, options.garbage_probes);
+  verdict.garbage_rate = hit_rate(kGarbage, kRefGarbageProbes);
   std::vector<std::string> prose_context;
   for (const auto& w : context_words) {
     if (!strings::IsDigits(w)) prose_context.push_back(w);
   }
-  double search_rate = hit_rate(prose_context, options.samples_per_type);
-  if (search_rate >= options.search_box_min_hit_rate &&
-      search_rate >= verdict.garbage_rate + options.margin) {
+  double search_rate = hit_rate(prose_context, kRefSamplesPerType);
+  if (search_rate >= kRefSearchBoxMinHitRate &&
+      search_rate >= verdict.garbage_rate + kRefMargin) {
     verdict.type = DataType::kSearchBox;
     verdict.hit_rate = search_rate;
     return verdict;
@@ -63,9 +70,9 @@ TypeVerdict ExhaustiveReference(FormProber* prober,
   DataType best = DataType::kUnknown;
   double best_rate = 0.0;
   for (DataType type : order) {
-    double rate = hit_rate(SampleValues(type), options.samples_per_type);
-    if (rate >= options.min_hit_rate &&
-        rate >= verdict.garbage_rate + options.margin && rate > best_rate) {
+    double rate = hit_rate(SampleValues(type), kRefSamplesPerType);
+    if (rate >= kRefMinHitRate && rate >= verdict.garbage_rate + kRefMargin &&
+        rate > best_rate) {
       best = type;
       best_rate = rate;
       if (rate >= 0.99) break;

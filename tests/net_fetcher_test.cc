@@ -80,38 +80,31 @@ TEST(ProbeSchedulerTest, NormalizedUrlDedup) {
 }
 
 TEST(ProbeSchedulerTest, LruEviction) {
+  constexpr int kCapacity = 4096;
   SimulatedWeb web;
   ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("a.com")).ok());
-  ProbeSchedulerOptions opts;
-  opts.cache_capacity = 2;
-  ProbeScheduler scheduler(&web, opts);
+  ProbeScheduler scheduler(&web);
+  auto page = [](int p) {
+    return MakeUrl("http://a.com/?p=" + std::to_string(p));
+  };
 
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=2")).ok());
-  // Touch p=1 so p=2 is the LRU victim.
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=3")).ok());
-  EXPECT_EQ(scheduler.cache_size(), 2u);
-  EXPECT_GE(scheduler.stats().evictions, 1u);
+  for (int p = 0; p < kCapacity; ++p) {
+    ASSERT_TRUE(scheduler.Fetch(page(p)).ok());
+  }
+  EXPECT_EQ(scheduler.cache_size(), static_cast<size_t>(kCapacity));
+  EXPECT_EQ(scheduler.stats().evictions, 0u);
+  // Touch p=0 so p=1 is the LRU victim of the next distinct fetch.
+  ASSERT_TRUE(scheduler.Fetch(page(0)).ok());
+  ASSERT_TRUE(scheduler.Fetch(page(kCapacity)).ok());
+  EXPECT_EQ(scheduler.cache_size(), static_cast<size_t>(kCapacity));
+  EXPECT_EQ(scheduler.stats().evictions, 1u);
 
-  // p=1 survived; p=2 was evicted and refetches as a miss.
+  // p=0 survived; p=1 was evicted and refetches as a miss.
   uint64_t misses_before = scheduler.stats().cache_misses;
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
+  ASSERT_TRUE(scheduler.Fetch(page(0)).ok());
   EXPECT_EQ(scheduler.stats().cache_misses, misses_before);
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=2")).ok());
+  ASSERT_TRUE(scheduler.Fetch(page(1)).ok());
   EXPECT_EQ(scheduler.stats().cache_misses, misses_before + 1);
-}
-
-TEST(ProbeSchedulerTest, ZeroCapacityDisablesCaching) {
-  SimulatedWeb web;
-  ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("a.com")).ok());
-  ProbeSchedulerOptions opts;
-  opts.cache_capacity = 0;
-  ProbeScheduler scheduler(&web, opts);
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  ASSERT_TRUE(scheduler.Fetch(MakeUrl("http://a.com/?p=1")).ok());
-  EXPECT_EQ(scheduler.stats().cache_misses, 2u);
-  EXPECT_EQ(web.TrafficFor("a.com").get_requests, 2u);
 }
 
 /// Fails with 500 for the first `failures` requests, then succeeds.

@@ -1,10 +1,11 @@
 // Tests for the corpus-level surfacing driver: seed-determinism across
-// thread counts, batch ingestion, shared-cache economy, and input
-// validation.
+// thread counts, pinned output, batch ingestion, shared-cache economy, no
+// second fetch of a form's page, and input validation.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "extract/annotator.h"
 #include "index/inverted_index.h"
 #include "net/fetcher.h"
+#include "net/web.h"
 #include "synthweb/corpus.h"
 #include "util/hash.h"
 
@@ -20,10 +22,12 @@ namespace deepsurf {
 namespace crawler {
 namespace {
 
-/// A small all-GET corpus plus its crawled form work-list.
+/// A small all-GET corpus plus its crawled form work-list and the index
+/// the crawl built (the seed index bench_e2e's surfacing passes).
 struct CorpusFixture {
   synthweb::WebCorpus corpus;
   std::vector<DiscoveredForm> forms;
+  std::unique_ptr<index::InvertedIndex> crawl_index;
 };
 
 CorpusFixture MakeCorpus(size_t deep_sites = 6) {
@@ -37,8 +41,8 @@ CorpusFixture MakeCorpus(size_t deep_sites = 6) {
   copts.obfuscate_probability = 0.0;
   copts.seed = 777;
   f.corpus = synthweb::BuildCorpus(copts);
-  index::InvertedIndex scratch;
-  Crawler crawler(f.corpus.web.get(), &scratch, {});
+  f.crawl_index = std::make_unique<index::InvertedIndex>();
+  Crawler crawler(f.corpus.web.get(), f.crawl_index.get(), {});
   EXPECT_TRUE(crawler.Crawl({f.corpus.directory_url}).ok());
   f.forms = crawler.forms();
   EXPECT_FALSE(f.forms.empty());
@@ -60,14 +64,17 @@ struct RunOutput {
   SurfacingDriverStats stats;
 };
 
-RunOutput RunDriver(const CorpusFixture& f, size_t threads, uint64_t seed) {
+RunOutput RunDriver(const CorpusFixture& f, size_t threads, uint64_t seed,
+                    core::SurfacerOptions surfacer = FastOptions(),
+                    const index::InvertedIndex* seed_index = nullptr) {
   RunOutput out;
   net::ProbeScheduler scheduler(f.corpus.web.get());
   index::InvertedIndex index;
   SurfacingDriverOptions dopts;
   dopts.num_threads = threads;
   dopts.seed = seed;
-  dopts.surfacer = FastOptions();
+  dopts.surfacer = std::move(surfacer);
+  dopts.seed_index = seed_index;
   SurfacingDriver driver(&scheduler, &index, dopts);
   auto stats = driver.Run(f.forms);
   EXPECT_TRUE(stats.ok());
@@ -75,6 +82,16 @@ RunOutput RunDriver(const CorpusFixture& f, size_t threads, uint64_t seed) {
   out.num_docs = index.num_docs();
   out.stats = *stats;
   return out;
+}
+
+/// Fnv1a64 over the newline-joined URL set.
+uint64_t UrlSetDigest(const std::vector<std::string>& url_set) {
+  std::string joined;
+  for (const auto& url : url_set) {
+    joined += url;
+    joined.push_back('\n');
+  }
+  return Fnv1a64(joined);
 }
 
 TEST(SurfacingDriverTest, DeterministicAcrossThreadCounts) {
@@ -107,13 +124,31 @@ TEST(SurfacingDriverTest, SurfacedOutputIsPinned) {
   for (size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     auto run = RunDriver(f, threads, 99);
-    std::string joined;
-    for (const auto& url : run.url_set) {
-      joined += url;
-      joined.push_back('\n');
-    }
     EXPECT_EQ(run.url_set.size(), kUrls);
-    EXPECT_EQ(Fnv1a64(joined), kUrlDigest);
+    EXPECT_EQ(UrlSetDigest(run.url_set), kUrlDigest);
+    EXPECT_EQ(run.stats.analysis_probes, kAnalysisProbes);
+    EXPECT_EQ(run.stats.urls_generated, kUrlsGenerated);
+    EXPECT_EQ(run.stats.pages_indexed, kPagesIndexed);
+  }
+}
+
+TEST(SurfacingDriverTest, DefaultOptionsOutputIsPinned) {
+  // The configuration every bench_e2e workload surfaces with: default
+  // SurfacerOptions (three mining rounds, 16 template samples, the
+  // 600-probe budget) and the crawl index as seed index, so keyword seeds
+  // come from CharacteristicTerms.
+  constexpr size_t kUrls = 851;
+  constexpr uint64_t kUrlDigest = 0xf61614a181b65089ULL;
+  constexpr size_t kAnalysisProbes = 605;
+  constexpr size_t kUrlsGenerated = 851;
+  constexpr size_t kPagesIndexed = 168;
+  auto f = MakeCorpus();
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    auto run = RunDriver(f, threads, 99, core::SurfacerOptions{},
+                         f.crawl_index.get());
+    EXPECT_EQ(run.url_set.size(), kUrls);
+    EXPECT_EQ(UrlSetDigest(run.url_set), kUrlDigest);
     EXPECT_EQ(run.stats.analysis_probes, kAnalysisProbes);
     EXPECT_EQ(run.stats.urls_generated, kUrlsGenerated);
     EXPECT_EQ(run.stats.pages_indexed, kPagesIndexed);
@@ -141,7 +176,6 @@ TEST(SurfacingDriverTest, BatchIngestionPopulatesIndex) {
   SurfacingDriverOptions dopts;
   dopts.num_threads = 2;
   dopts.surfacer = FastOptions();
-  dopts.index_batch_size = 16;
   dopts.annotations = &annotations;
   SurfacingDriver driver(&scheduler, &index, dopts);
   auto stats = driver.Run(f.forms);
@@ -158,6 +192,61 @@ TEST(SurfacingDriverTest, BatchIngestionPopulatesIndex) {
   // shared cache, so the run shows a nonzero hit rate.
   EXPECT_GT(stats->scheduler.cache_hits, 0u);
   EXPECT_GT(stats->scheduler.HitRate(), 0.0);
+}
+
+/// Forwards to a site and records every URL it is asked for. The web
+/// serializes a host's requests, so Handle never runs concurrently.
+class RecordingServer : public net::WebServer {
+ public:
+  explicit RecordingServer(std::shared_ptr<net::WebServer> site)
+      : site_(std::move(site)) {}
+
+  net::HttpResponse Handle(const net::HttpRequest& request) override {
+    requested_.insert(request.url.ToCanonicalString());
+    return site_->Handle(request);
+  }
+
+  const std::string& host() const override { return site_->host(); }
+
+  const std::set<std::string>& requested() const { return requested_; }
+
+ private:
+  std::shared_ptr<net::WebServer> site_;
+  std::set<std::string> requested_;
+};
+
+TEST(SurfacingDriverTest, RunNeverFetchesFormPages) {
+  // The crawler already parsed each form's page and hands its scripts
+  // over with the form, so surfacing sends no request there.
+  auto f = MakeCorpus(4);
+  net::SimulatedWeb web;
+  std::vector<std::shared_ptr<RecordingServer>> sites;
+  for (const auto& site : f.corpus.deep_sites) {
+    sites.push_back(std::make_shared<RecordingServer>(site));
+  }
+  for (const auto& site : f.corpus.surface_sites) {
+    sites.push_back(std::make_shared<RecordingServer>(site));
+  }
+  for (const auto& site : sites) ASSERT_TRUE(web.Register(site).ok());
+  net::ProbeScheduler scheduler(&web);
+  index::InvertedIndex index;
+  SurfacingDriverOptions dopts;
+  dopts.num_threads = 2;
+  dopts.surfacer = FastOptions();
+  SurfacingDriver driver(&scheduler, &index, dopts);
+  auto stats = driver.Run(f.forms);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats->pages_indexed, 0u);
+
+  std::set<std::string> requested;
+  for (const auto& site : sites) {
+    requested.insert(site->requested().begin(), site->requested().end());
+  }
+  EXPECT_FALSE(requested.empty());
+  for (const auto& form : f.forms) {
+    EXPECT_EQ(requested.count(form.page_url.ToCanonicalString()), 0u)
+        << form.page_url.ToCanonicalString();
+  }
 }
 
 TEST(SurfacingDriverTest, OutcomesAlignWithWorkList) {

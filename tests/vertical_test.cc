@@ -139,13 +139,11 @@ TEST_F(EngineTest, UnrecognizableKeywordQueryCannotRoute) {
 }
 
 TEST(EngineRoutingTest, FanOutCappedAcrossManySources) {
-  // Many same-domain sources: the engine only queries up to the cap.
+  // More same-domain sources than the cap of 8: the engine queries 8.
   net::SimulatedWeb web;
-  EngineOptions opts;
-  opts.max_sources_per_query = 3;
-  VerticalEngine engine(&web, opts);
+  VerticalEngine engine(&web);
   size_t added = 0;
-  for (uint64_t seed = 611; seed < 617; ++seed) {
+  for (uint64_t seed = 611; seed < 623; ++seed) {
     Rng rng(seed);
     synthweb::SiteGenOptions gen;
     gen.num_rows = 60;
@@ -167,15 +165,16 @@ TEST(EngineRoutingTest, FanOutCappedAcrossManySources) {
       ++added;
     }
   }
-  ASSERT_GE(added, 4u);
+  ASSERT_GE(added, 9u);
   web.ResetTraffic();
   StructuredQuery query;
   query.domain = "hotels";
   query.constraints.push_back({"city", "Seattle", false, 0, 0});
   auto answer = engine.Answer(query);
   ASSERT_TRUE(answer.ok());
-  EXPECT_LE(answer->sources_queried, 3u);
-  EXPECT_LE(answer->requests_made, 3u);
+  EXPECT_EQ(answer->sources_considered, added);
+  EXPECT_EQ(answer->sources_queried, 8u);
+  EXPECT_LE(answer->requests_made, 8u);
 }
 
 }  // namespace
