@@ -1,12 +1,11 @@
 // M2 — substrate micro-benchmark: inverted-index ingest and BM25 query
 // throughput, pruned (block-max maxscore) vs compressed-pruned vs
 // exhaustive, swept across corpus size x query length x k, with
-// p50/p99 per-query latency (the same
-// stats::PercentileTracker reporting bench_remote uses) and memory
-// accounting (bytes per posting, compressed vs raw, doc-id stream vs
-// weight stream). Emits a JSON record (--json PATH) so the perf
-// trajectory is comparable across PRs, and verifies six gates as it
-// measures:
+// p50/p99 per-query latency (the same stats::PercentileTracker the
+// coordinator's hedge delay reads) and memory accounting (bytes per
+// posting, compressed vs raw, doc-id stream vs weight stream). Emits a
+// JSON record (--json PATH) so the perf trajectory is comparable across
+// PRs, and verifies six gates as it measures:
 //
 //   1. equivalence — pruned and compressed (bit-packed) both
 //      byte-identical to exhaustive on every query;
@@ -114,8 +113,8 @@ std::vector<std::vector<std::string>> MakeQueries(size_t n, size_t len,
 /// Runs `search` over the query pool until `min_time` elapses (whole
 /// passes, at least one); returns queries per second. When `latency_ms`
 /// is non-null, each individual query's wall time feeds the tracker —
-/// the same sliding-window percentile machinery bench_remote reports
-/// with, so index-level p50/p99 line up with the remote layer's.
+/// the same sliding-window percentile machinery the coordinator's hedge
+/// delay reads.
 template <typename SearchFn>
 double MeasureQps(const std::vector<std::vector<std::string>>& queries,
                   double min_time, stats::PercentileTracker* latency_ms,

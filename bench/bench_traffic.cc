@@ -795,7 +795,6 @@ int Run(int argc, char** argv) {
     DS_CHECK(sharded.InsertBatch(base_docs).ok());
     traffic::RecordingWritableIndex recorder(&sharded);
     serve::EngineOptions eopts;
-    eopts.default_top_k = kTopK;
     eopts.tracer = &tracer;
     serve::Engine engine(&sharded, eopts);
     TargetSetup t;
@@ -829,7 +828,6 @@ int Run(int argc, char** argv) {
     DS_CHECK(coordinator.InsertBatch(base_docs).ok());
     traffic::RecordingWritableIndex recorder(&coordinator);
     serve::EngineOptions eopts;
-    eopts.default_top_k = kTopK;
     eopts.tracer = &tracer;
     serve::Engine engine(&coordinator, eopts);
     TargetSetup t;

@@ -22,8 +22,11 @@ double MsSince(Clock::time_point start) {
 
 /// The hedge fires at this quantile of recent RPC latencies...
 constexpr double kHedgeQuantile = 0.95;
+/// ...clamped to at least this delay (at most
+/// CoordinatorOptions::hedge_max_ms)...
+constexpr double kHedgeMinMs = 0.05;
 /// ...once the tracker holds this many samples; until then it fires
-/// after CoordinatorOptions::hedge_min_ms.
+/// after kHedgeMinMs.
 constexpr size_t kHedgeWarmup = 16;
 /// Window of the RPC latency tracker driving the hedge delay.
 constexpr size_t kLatencyWindow = 512;
@@ -211,16 +214,15 @@ size_t Coordinator::ShardForUrl(const std::string& url) const {
 
 double Coordinator::HedgeDelayMs() const {
   std::lock_guard<std::mutex> lock(telemetry_mu_);
-  if (latency_ms_.size() < kHedgeWarmup) return options_.hedge_min_ms;
+  if (latency_ms_.size() < kHedgeWarmup) return kHedgeMinMs;
   // Quantile() is O(window) — too much to pay under a contended lock on
   // every shard call. Recompute every kRefreshEvery samples; hedge
   // delays only need to track the latency distribution, not each point.
   constexpr uint64_t kRefreshEvery = 64;
   if (latency_ms_.total() >= hedge_delay_refresh_at_) {
-    hedge_delay_cache_ms_ = std::min(
-        options_.hedge_max_ms,
-        std::max(options_.hedge_min_ms,
-                 latency_ms_.Quantile(kHedgeQuantile)));
+    hedge_delay_cache_ms_ =
+        std::min(options_.hedge_max_ms,
+                 std::max(kHedgeMinMs, latency_ms_.Quantile(kHedgeQuantile)));
     hedge_delay_refresh_at_ = latency_ms_.total() + kRefreshEvery;
   }
   return hedge_delay_cache_ms_;

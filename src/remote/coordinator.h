@@ -97,10 +97,8 @@ struct CoordinatorOptions {
   /// Fire a backup request at the next replica when the primary has not
   /// answered within the adaptive hedge delay. Needs num_replicas > 1.
   bool hedging = true;
-  /// The hedge fires at a high quantile of recent RPC latencies, clamped
-  /// into [hedge_min_ms, hedge_max_ms]; the floor also serves as the
-  /// delay until enough samples exist.
-  double hedge_min_ms = 0.05;
+  /// The hedge fires at a high quantile of recent RPC latencies, capped
+  /// at this delay.
   double hedge_max_ms = 20.0;
   /// Per-attempt deadline: a replica that has neither answered nor
   /// failed by then is presumed lost (dropped request) and the call

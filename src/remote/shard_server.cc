@@ -224,13 +224,6 @@ Result<std::string> ShardServer::HandleHealth(const std::string& request) {
     resp.search = index_.search_stats();
   }
   c_health_checks_->Inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    resp.queue_depth = queue_.size();
-  }
-  resp.requests_served = c_served_->Value();
-  resp.requests_rejected = c_rejected_->Value();
-  resp.requests_cancelled = c_cancelled_->Value();
   return Encode(resp);
 }
 

@@ -362,10 +362,6 @@ std::string Encode(const HealthResponse& msg) {
   PutU64(&out, msg.num_docs);
   PutU64(&out, msg.epoch);
   PutU64(&out, msg.last_applied_seq);
-  PutU64(&out, msg.queue_depth);
-  PutU64(&out, msg.requests_served);
-  PutU64(&out, msg.requests_rejected);
-  PutU64(&out, msg.requests_cancelled);
   PutU64(&out, msg.memory.posting_doc_raw_bytes);
   PutU64(&out, msg.memory.posting_doc_packed_bytes);
   PutU64(&out, msg.memory.posting_weight_bytes);
@@ -390,10 +386,6 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& frame) {
   msg.num_docs = r.GetU64();
   msg.epoch = r.GetU64();
   msg.last_applied_seq = r.GetU64();
-  msg.queue_depth = r.GetU64();
-  msg.requests_served = r.GetU64();
-  msg.requests_rejected = r.GetU64();
-  msg.requests_cancelled = r.GetU64();
   msg.memory.posting_doc_raw_bytes = r.GetU64();
   msg.memory.posting_doc_packed_bytes = r.GetU64();
   msg.memory.posting_weight_bytes = r.GetU64();

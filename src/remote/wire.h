@@ -120,21 +120,19 @@ struct HealthRequest {
   bool include_memory = false;
 };
 
-/// Shard-node health and load snapshot. The memory fields mirror
+/// Shard-node health snapshot. The memory fields mirror
 /// index::IndexMemoryUsage so a coordinator can account the cluster's
 /// logical corpus (one replica per shard) without a dedicated RPC;
 /// `search` carries the replica's cumulative index::SearchStats (O(1)
 /// counters, always included) so block-decode and decode-cache activity
 /// stay observable across the wire — the traffic harness reads them
-/// per phase through Coordinator::search_stats().
+/// per phase through Coordinator::search_stats(). A server's load
+/// counts (queue depth, served, rejected, cancelled) stay in its own
+/// `shard.*` registry.
 struct HealthResponse {
   uint64_t num_docs = 0;
   uint64_t epoch = 0;
   uint64_t last_applied_seq = 0;
-  uint64_t queue_depth = 0;
-  uint64_t requests_served = 0;
-  uint64_t requests_rejected = 0;
-  uint64_t requests_cancelled = 0;
   index::IndexMemoryUsage memory;
   index::SearchStats search;
 };

@@ -9,6 +9,9 @@ namespace serve {
 
 namespace {
 
+/// Cached query results kept, least-recently-used evicted first.
+constexpr size_t kCacheCapacity = 4096;
+
 std::string JoinTerms(const std::vector<std::string>& terms) {
   std::string joined;
   for (const auto& term : terms) {
@@ -21,9 +24,8 @@ std::string JoinTerms(const std::vector<std::string>& terms) {
 }  // namespace
 
 Engine::Engine(const index::SearchIndex* index, EngineOptions options)
-    : index_(index), options_(options) {
-  tracer_ = options_.tracer != nullptr ? options_.tracer
-                                       : obs::DefaultTracer();
+    : index_(index) {
+  tracer_ = options.tracer != nullptr ? options.tracer : obs::DefaultTracer();
   c_queries_ = metrics_.counter("serve.queries");
   c_cache_hits_ = metrics_.counter("serve.cache_hits");
   c_cache_misses_ = metrics_.counter("serve.cache_misses");
@@ -35,10 +37,6 @@ Engine::Engine(const index::SearchIndex* index, EngineOptions options)
 
 std::string Engine::NormalizeQuery(const std::string& query) {
   return JoinTerms(index::ContentTokens(query));
-}
-
-ServeResult Engine::Search(const std::string& query) {
-  return Search(query, options_.default_top_k);
 }
 
 ServeResult Engine::Search(const std::string& query, size_t k) {
@@ -67,15 +65,6 @@ ServeResult Engine::SearchTraced(const std::string& query, size_t k,
   if (trace != nullptr) {
     trace->SetQuery(JoinTerms(terms), static_cast<uint64_t>(k));
   }
-  if (options_.cache_capacity == 0) {
-    c_queries_->Inc();
-    c_cache_misses_->Inc();
-    obs::ScopedTrace install(trace);
-    obs::ScopedSpan search(trace, "serve.index_search",
-                           obs::TraceContext::kRootSpan);
-    return ServeResult{index_->SearchTerms(terms, k), false};
-  }
-
   std::string key = JoinTerms(terms);
   key.push_back('\x01');  // terms cannot contain this
   key += std::to_string(k);
@@ -131,7 +120,7 @@ ServeResult Engine::SearchTraced(const std::string& query, size_t k,
   } else {
     lru_.push_front(key);
     cache_.emplace(key, CacheEntry{hits, epoch, lru_.begin()});
-    while (cache_.size() > options_.cache_capacity) {
+    while (cache_.size() > kCacheCapacity) {
       auto victim = cache_.find(lru_.back());
       EraseLocked(victim);
       c_evictions_->Inc();

@@ -7,9 +7,10 @@
 // result cache absorbs most of the load before it reaches the index.
 //
 // The engine wraps any SearchIndex with:
-//   * a thread-safe LRU result cache keyed on the *normalized* query
-//     (analyzer tokens joined, so "Honda  CIVIC" and "honda civic"
-//     share one entry) plus k, with hit/miss/eviction counters;
+//   * a thread-safe LRU result cache of 4096 entries keyed on the
+//     *normalized* query (analyzer tokens joined, so "Honda  CIVIC" and
+//     "honda civic" share one entry) plus k, with hit/miss/eviction
+//     counters;
 //   * epoch-based invalidation: an entry remembers the index's
 //     ingest_epoch at fill time and is discarded the moment the index
 //     has grown past it, so a cached result is never stale;
@@ -45,11 +46,6 @@ namespace deepsurf {
 namespace serve {
 
 struct EngineOptions {
-  /// Cached query results kept, least-recently-used evicted first.
-  /// 0 disables caching (every query goes to the index).
-  size_t cache_capacity = 4096;
-  /// Hits retrieved when Search is called without an explicit k.
-  size_t default_top_k = 10;
   /// Tracer queries are sampled into (obs/trace.h); nullptr = the
   /// process-global obs::DefaultTracer(), which is inert unless
   /// installed. The engine starts one trace per query and installs it
@@ -99,9 +95,6 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Answers one query (top default_top_k).
-  ServeResult Search(const std::string& query);
-
   /// Answers one query (top k).
   ServeResult Search(const std::string& query, size_t k);
 
@@ -149,7 +142,6 @@ class Engine {
                            obs::TraceContext* trace);
 
   const index::SearchIndex* index_;
-  const EngineOptions options_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, CacheEntry> cache_;

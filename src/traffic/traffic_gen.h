@@ -70,8 +70,8 @@ struct ZipfQueryStream {
   std::vector<std::string> queries;
 };
 
-/// Builds the stream bench_remote replays: `distinct` pool
-/// entries from QueryStream(pool_seed), then `total` draws of
+/// Builds the stream bench_traffic and bench_e2e replay: `distinct`
+/// pool entries from QueryStream(pool_seed), then `total` draws of
 /// ZipfSampler(distinct, zipf_s) on Rng(draw_seed). Byte-identical to
 /// the legacy inline generator for the same options.
 ZipfQueryStream BuildZipfQueryStream(const synthweb::WebCorpus& corpus,

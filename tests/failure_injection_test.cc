@@ -208,10 +208,7 @@ TEST(CoordinatorFailureTest, DroppedRequestsAreTimedOutAndRetried) {
 TEST(CoordinatorFailureTest, DeadReplicaGroupYieldsPartialResultsNotCrash) {
   remote::LoopbackTransport loopback(2, 1, {});
   remote::FlakyTransport flaky(&loopback, {});
-  remote::CoordinatorOptions copts;
-  copts.call_timeout_ms = 10.0;
-  copts.max_attempts = 2;
-  remote::Coordinator coordinator(&flaky, copts);
+  remote::Coordinator coordinator(&flaky, {});
 
   // Two docs on different shards (URLs chosen to hash apart at 2
   // shards; the ASSERT keeps the fixture honest).
@@ -264,10 +261,7 @@ TEST(CoordinatorFailureTest, PartialResultsAreTheHealthyRankingFiltered) {
 
   remote::LoopbackTransport loopback(3, 2, {});
   remote::FlakyTransport flaky(&loopback, {});
-  remote::CoordinatorOptions copts;
-  copts.call_timeout_ms = 10.0;
-  copts.max_attempts = 2;
-  remote::Coordinator coordinator(&flaky, copts);
+  remote::Coordinator coordinator(&flaky, {});
   ASSERT_TRUE(coordinator.InsertBatch(docs).ok());
 
   // The whole replica group of one shard dies after ingest.
@@ -427,7 +421,6 @@ TEST(FlakyTransportTest, KillAndReviveDuringInFlightHedgedRequests) {
   remote::LoopbackTransport loopback(1, 2, {});
   remote::FlakyTransport flaky(&loopback, {});
   remote::CoordinatorOptions copts;
-  copts.hedge_min_ms = 0.2;
   copts.hedge_max_ms = 1.0;  // hedge well before the injected delay
   remote::Coordinator coordinator(&flaky, copts);
   ASSERT_TRUE(coordinator

@@ -3,7 +3,8 @@
 // discipline, and the full kill -> miss-batches -> revive -> catch-up ->
 // rejoin cycle at several shard x replica shapes — always against the
 // byte-identity contract: a replica that failed and recovered must serve
-// exactly what a replica that never failed serves.
+// exactly what a replica that never failed serves, and one whose ack
+// contradicts the committed placement must never serve again.
 
 #include <gtest/gtest.h>
 
@@ -476,6 +477,75 @@ TEST(CatchUpTest, IngestLogHoldsOnlyWhatAReplicaLacks) {
   // Every replica is current again: the next ingest trims the log empty.
   ASSERT_TRUE(coordinator.InsertBatch(MakeDocs(6, "next")).ok());
   EXPECT_EQ(coordinator.stats().wal_bytes, 0u);
+}
+
+/// Forwards every call, but rewrites replica `victim`'s ack of ingest
+/// batch `seq` to claim one more token for its first document. The
+/// replica applied the batch; only its report contradicts the committed
+/// placement, as a replica scoring with other IndexOptions would.
+class ContradictingAckTransport : public Transport {
+ public:
+  ContradictingAckTransport(Transport* inner, size_t victim, uint64_t seq)
+      : inner_(inner), victim_(victim), seq_(seq) {}
+
+  void Call(size_t shard, size_t replica, std::string request, Callback done,
+            CancelToken cancelled = nullptr) override {
+    auto ingest = DecodeIngestRequest(request);
+    if (replica == victim_ && ingest.ok() && ingest->seq == seq_) {
+      done = [done = std::move(done)](Result<std::string> r) {
+        if (r.ok()) {
+          auto ack = DecodeIngestResponse(*r);
+          if (ack.ok() && !ack->lengths.empty()) {
+            ++ack->lengths[0];
+            r = Encode(*ack);
+          }
+        }
+        done(std::move(r));
+      };
+    }
+    inner_->Call(shard, replica, std::move(request), std::move(done),
+                 std::move(cancelled));
+  }
+
+  size_t num_shards() const override { return inner_->num_shards(); }
+  size_t num_replicas() const override { return inner_->num_replicas(); }
+
+ private:
+  Transport* const inner_;
+  const size_t victim_;
+  const uint64_t seq_;
+};
+
+TEST(CatchUpTest, ContradictingAckPoisonsTheReplicaForGood) {
+  const auto base = MakeDocs(10, "base");
+  const auto late = MakeDocs(6, "late");
+  index::InvertedIndex reference;
+  ASSERT_TRUE(reference.InsertBatch(base).ok());
+  ASSERT_TRUE(reference.InsertBatch(late).ok());
+
+  LoopbackTransport loopback(1, 2, {});
+  ContradictingAckTransport lying(&loopback, /*victim=*/0, /*seq=*/2);
+  Coordinator coordinator(&lying, {});
+  ASSERT_TRUE(coordinator.InsertBatch(base).ok());
+  ASSERT_TRUE(coordinator.InsertBatch(late).ok());
+  EXPECT_EQ(coordinator.stats().wal_bytes, 0u)
+      << "a poisoned replica never catches up, so it holds no log";
+
+  // No replay can mend a diverged index: catch-up refuses the replica.
+  const uint64_t replayed = coordinator.stats().batches_replayed;
+  coordinator.RequestCatchUp(0, 0);
+  ASSERT_TRUE(coordinator.WaitForCatchUp(/*timeout_ms=*/10000.0));
+  EXPECT_EQ(coordinator.stats().batches_replayed, replayed);
+
+  const auto queries = RecoveryQueries();
+  for (size_t i = 0; i < 20; ++i) {
+    const std::string& q = queries[i % queries.size()];
+    ExpectSameHits(reference.Search(q, 10), coordinator.Search(q, 10),
+                   "one poisoned replica: " + q);
+  }
+  EXPECT_EQ(loopback.server(0, 0).stats().searches, 0u)
+      << "the poisoned replica must never serve";
+  EXPECT_EQ(loopback.server(0, 1).stats().searches, 20u);
 }
 
 }  // namespace

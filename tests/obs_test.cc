@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -440,7 +441,6 @@ TEST(ObsIntegrationTest, HedgedRemoteQueryProducesCompleteSpanTree) {
   Tracer tracer(topts);
 
   remote::CoordinatorOptions copts;
-  copts.hedge_min_ms = 0.2;
   copts.hedge_max_ms = 1.0;  // well under the slow replica's delay
   copts.tracer = &tracer;
   remote::Coordinator coordinator(&flaky, copts);
@@ -452,17 +452,23 @@ TEST(ObsIntegrationTest, HedgedRemoteQueryProducesCompleteSpanTree) {
   flaky.SetReplicaDelay(1, 0, 8.0);
 
   serve::EngineOptions eopts;
-  eopts.cache_capacity = 0;  // every query reaches the coordinator
   eopts.tracer = &tracer;
   serve::Engine engine(&coordinator, eopts);
 
+  // 40 distinct queries: each misses the cache and reaches the
+  // coordinator.
   querylog::QueryStreamOptions qopts;
   qopts.seed = 2026;
   querylog::QueryStream stream(&corpus, qopts);
-  for (size_t i = 0; i < 40; ++i) {
-    auto result = engine.Search(stream.Next().text, 10);
+  std::set<std::string> seen;
+  for (size_t draws = 0; seen.size() < 40 && draws < 10000; ++draws) {
+    std::string query = stream.Next().text;
+    if (!seen.insert(serve::Engine::NormalizeQuery(query)).second) continue;
+    auto result = engine.Search(query, 10);
     EXPECT_TRUE(result.status.ok());
+    EXPECT_FALSE(result.from_cache);
   }
+  ASSERT_EQ(seen.size(), 40u);
 
   auto traces = tracer.Traces();
   ASSERT_FALSE(traces.empty());
@@ -563,7 +569,6 @@ TEST(ObsIntegrationTest, EveryInstanceCountsOnlyItsOwnWork) {
   remote::CoordinatorOptions off_opts;
   off_opts.hedging = false;
   remote::CoordinatorOptions on_opts;
-  on_opts.hedge_min_ms = 0.2;
   on_opts.hedge_max_ms = 1.0;  // well under the slow replica's delay
   remote::Coordinator off(&flaky_off, off_opts);
   remote::Coordinator on(&flaky_on, on_opts);

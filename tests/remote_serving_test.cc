@@ -165,8 +165,6 @@ TEST(WireTest, HealthRoundTrips) {
   health.num_docs = 9;
   health.epoch = 9;
   health.last_applied_seq = 3;
-  health.queue_depth = 2;
-  health.requests_served = 100;
   health.memory.posting_doc_raw_bytes = 1234;
   health.memory.posting_doc_packed_bytes = 870;
   health.memory.posting_weight_bytes = 4321;
@@ -183,7 +181,6 @@ TEST(WireTest, HealthRoundTrips) {
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->num_docs, 9u);
   EXPECT_EQ(h->last_applied_seq, 3u);
-  EXPECT_EQ(h->requests_served, 100u);
   EXPECT_EQ(h->memory.posting_doc_raw_bytes, 1234u);
   EXPECT_EQ(h->memory.posting_doc_packed_bytes, 870u);
   EXPECT_EQ(h->memory.posting_doc_bytes(), 1234u + 870u);
@@ -696,44 +693,45 @@ TEST(RemoteServingTest, KilledReplicaNeverFailsAQuery) {
       << "the killed replicas should be marked dead and skipped";
 }
 
-TEST(RemoteServingTest, SlowReplicaIsHedgedAroundWithIdenticalResults) {
+// Whether hedging works shows up as a count, not a latency: replica 0 of
+// each shard answers 10 s late, far past the 200 ms per-attempt
+// deadline. A call whose primary is the stalled replica either hedges
+// to its peer within hedge_max_ms, or waits out the deadline and counts
+// a timeout. No timing enters a verdict.
+TEST(RemoteServingTest, HedgingAnswersBeforeAStalledReplicaTimesOut) {
   auto corpus = TestCorpus();
   auto docs = synthweb::EntityDocuments(corpus);
   index::InvertedIndex single(ExhaustiveOptions());
   ASSERT_TRUE(single.InsertBatch(docs).ok());
 
-  LoopbackTransport loopback(2, 2, {});
-  FlakyTransport flaky(&loopback, {});
-  Coordinator* coordinator_ptr = nullptr;
-  CoordinatorOptions copts;
-  copts.hedge_min_ms = 0.2;
-  copts.hedge_max_ms = 1.0;  // well under the slow replica's delay
-  Coordinator coordinator(&flaky, copts);
-  coordinator_ptr = &coordinator;
-  ASSERT_TRUE(coordinator.InsertBatch(docs).ok());
-  // Replica 0 of each shard turns into a strained machine after ingest.
-  flaky.SetReplicaDelay(0, 0, 8.0);
-  flaky.SetReplicaDelay(1, 0, 8.0);
+  for (bool hedging : {true, false}) {
+    SCOPED_TRACE(hedging ? "hedging on" : "hedging off");
+    LoopbackTransport loopback(2, 2, {});
+    FlakyTransport flaky(&loopback, {});
+    CoordinatorOptions copts;
+    copts.hedging = hedging;
+    copts.hedge_max_ms = 1.0;
+    Coordinator coordinator(&flaky, copts);
+    ASSERT_TRUE(coordinator.InsertBatch(docs).ok());
+    for (size_t s = 0; s < 2; ++s) flaky.SetReplicaDelay(s, 0, 10000.0);
 
-  for (const auto& query : StreamQueries(corpus, 80)) {
-    ExpectSameHits(single.Search(query, 10),
-                   coordinator_ptr->Search(query, 10),
-                   "hedged, query \"" + query + "\"");
-  }
-  auto stats = coordinator.stats();
-  EXPECT_GT(stats.hedges, 0u) << "the slow replica must trigger hedges";
-  EXPECT_GT(stats.hedge_wins, 0u)
-      << "the fast replica must win hedged races";
-  // Cancellation reaches the servers: hedged losers queued at the slow
-  // replicas die before execution at least some of the time.
-  size_t cancelled = 0;
-  for (size_t s = 0; s < 2; ++s) {
-    for (size_t r = 0; r < 2; ++r) {
-      cancelled += loopback.server(s, r).stats().cancelled;
+    // Without hedging, every other query waits out a deadline; a few
+    // suffice for the control.
+    for (const auto& query : StreamQueries(corpus, hedging ? 20 : 4)) {
+      ExpectSameHits(single.Search(query, 10), coordinator.Search(query, 10),
+                     "stalled replica, query \"" + query + "\"");
+    }
+    const CoordinatorStats stats = coordinator.stats();
+    EXPECT_EQ(stats.partial_results, 0u);
+    if (hedging) {
+      EXPECT_EQ(stats.timeouts, 0u)
+          << "a hedged call must be answered by the stalled replica's peer";
+      EXPECT_GT(stats.hedge_wins, 0u);
+    } else {
+      EXPECT_GT(stats.timeouts, 0u)
+          << "the control: without hedging, calls wait out the deadline";
     }
   }
-  EXPECT_EQ(coordinator.stats().partial_results, 0u);
-  (void)cancelled;  // informational: delivery timing decides if > 0
 }
 
 TEST(RemoteServingTest, EachShardSpreadsSearchesOverItsReplicas) {
@@ -939,9 +937,7 @@ TEST(RemoteServingTest, ServesThroughEngineWithCacheAndInvalidation) {
 
   LoopbackTransport transport(3, 2, {});
   Coordinator coordinator(&transport, {});
-  serve::EngineOptions eopts;
-  eopts.cache_capacity = 64;
-  serve::Engine engine(&coordinator, eopts);
+  serve::Engine engine(&coordinator);
 
   // First half of the corpus, then serve, then the second half lands.
   size_t half = docs.size() / 2;

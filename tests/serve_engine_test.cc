@@ -45,10 +45,10 @@ class ServeEngineTest : public ::testing::Test {
 
 TEST_F(ServeEngineTest, HitAndMissCounters) {
   Engine engine(index_.get(), {});
-  EXPECT_FALSE(engine.Search("alpha").from_cache);
-  EXPECT_TRUE(engine.Search("alpha").from_cache);
-  EXPECT_TRUE(engine.Search("alpha").from_cache);
-  EXPECT_FALSE(engine.Search("beta").from_cache);
+  EXPECT_FALSE(engine.Search("alpha", 10).from_cache);
+  EXPECT_TRUE(engine.Search("alpha", 10).from_cache);
+  EXPECT_TRUE(engine.Search("alpha", 10).from_cache);
+  EXPECT_FALSE(engine.Search("beta", 10).from_cache);
 
   auto stats = engine.stats();
   EXPECT_EQ(stats.queries, 4u);
@@ -62,8 +62,8 @@ TEST_F(ServeEngineTest, HitAndMissCounters) {
 
 TEST_F(ServeEngineTest, CachedHitsAreIdenticalToFreshOnes) {
   Engine engine(index_.get(), {});
-  auto fresh = engine.Search("alpha document");
-  auto cached = engine.Search("alpha document");
+  auto fresh = engine.Search("alpha document", 10);
+  auto cached = engine.Search("alpha document", 10);
   ASSERT_TRUE(cached.from_cache);
   ASSERT_EQ(fresh.hits.size(), cached.hits.size());
   for (size_t i = 0; i < fresh.hits.size(); ++i) {
@@ -73,31 +73,31 @@ TEST_F(ServeEngineTest, CachedHitsAreIdenticalToFreshOnes) {
 }
 
 TEST_F(ServeEngineTest, LruEvictionDropsLeastRecentlyUsed) {
-  EngineOptions opts;
-  opts.cache_capacity = 2;
-  Engine engine(index_.get(), opts);
+  constexpr size_t kCapacity = 4096;
+  Engine engine(index_.get(), {});
+  auto query = [](size_t q) { return "term" + std::to_string(q); };
 
-  (void)engine.Search("alpha");  // cache: [alpha]
-  (void)engine.Search("beta");   // cache: [beta, alpha]
-  EXPECT_EQ(engine.cache_size(), 2u);
+  for (size_t q = 0; q < kCapacity; ++q) (void)engine.Search(query(q), 10);
+  EXPECT_EQ(engine.cache_size(), kCapacity);
+  EXPECT_EQ(engine.stats().evictions, 0u);
 
-  // Touch alpha so beta becomes the LRU entry, then insert gamma.
-  EXPECT_TRUE(engine.Search("alpha").from_cache);  // cache: [alpha, beta]
-  (void)engine.Search("gamma");                    // evicts beta
+  // Touch term0 so term1 becomes the LRU entry, then insert one more.
+  EXPECT_TRUE(engine.Search(query(0), 10).from_cache);
+  (void)engine.Search(query(kCapacity), 10);  // evicts term1
 
   EXPECT_EQ(engine.stats().evictions, 1u);
-  EXPECT_EQ(engine.cache_size(), 2u);
-  EXPECT_TRUE(engine.Search("alpha").from_cache);
-  EXPECT_TRUE(engine.Search("gamma").from_cache);
-  EXPECT_FALSE(engine.Search("beta").from_cache);  // was evicted
+  EXPECT_EQ(engine.cache_size(), kCapacity);
+  EXPECT_TRUE(engine.Search(query(0), 10).from_cache);
+  EXPECT_TRUE(engine.Search(query(kCapacity), 10).from_cache);
+  EXPECT_FALSE(engine.Search(query(1), 10).from_cache);  // was evicted
 }
 
 TEST_F(ServeEngineTest, QueryNormalizationSharesEntries)  {
   Engine engine(index_.get(), {});
   EXPECT_EQ(Engine::NormalizeQuery("  ALPHA   Document!"), "alpha document");
-  EXPECT_FALSE(engine.Search("alpha document").from_cache);
-  EXPECT_TRUE(engine.Search("  ALPHA   Document!").from_cache);
-  EXPECT_TRUE(engine.Search("Alpha, DOCUMENT").from_cache);
+  EXPECT_FALSE(engine.Search("alpha document", 10).from_cache);
+  EXPECT_TRUE(engine.Search("  ALPHA   Document!", 10).from_cache);
+  EXPECT_TRUE(engine.Search("Alpha, DOCUMENT", 10).from_cache);
   EXPECT_EQ(engine.cache_size(), 1u);
 }
 
@@ -112,56 +112,45 @@ TEST_F(ServeEngineTest, DifferentTopKIsADifferentEntry) {
 
 TEST_F(ServeEngineTest, IngestInvalidatesStaleCachedResults) {
   Engine engine(index_.get(), {});
-  auto before = engine.Search("epsilon");
+  auto before = engine.Search("epsilon", 10);
   EXPECT_TRUE(before.hits.empty());
-  EXPECT_TRUE(engine.Search("epsilon").from_cache);
+  EXPECT_TRUE(engine.Search("epsilon", 10).from_cache);
 
   // New content arrives (the surfacing driver ingesting mid-serve).
   ASSERT_TRUE(index_->InsertBatch({Doc("u5", "epsilon document body")}).ok());
 
-  auto after = engine.Search("epsilon");
+  auto after = engine.Search("epsilon", 10);
   EXPECT_FALSE(after.from_cache) << "stale entry must not be served";
   ASSERT_EQ(after.hits.size(), 1u);
   EXPECT_EQ(index_->doc(after.hits[0].doc).url, "u5");
   EXPECT_EQ(engine.stats().invalidations, 1u);
 
   // The refreshed result is cached again at the new epoch.
-  EXPECT_TRUE(engine.Search("epsilon").from_cache);
+  EXPECT_TRUE(engine.Search("epsilon", 10).from_cache);
 }
 
 TEST_F(ServeEngineTest, InvalidationsCountAcrossTwoIngests) {
   Engine engine(index_.get(), {});
-  (void)engine.Search("alpha");
+  (void)engine.Search("alpha", 10);
   ASSERT_TRUE(index_->InsertBatch({Doc("u5", "epsilon document body")}).ok());
-  (void)engine.Search("alpha");  // 1: alpha's entry predates the ingest
+  (void)engine.Search("alpha", 10);  // 1: alpha's entry predates the ingest
 
-  (void)engine.Search("beta");
+  (void)engine.Search("beta", 10);
   ASSERT_TRUE(index_->InsertBatch({Doc("u6", "zeta document body")}).ok());
-  (void)engine.Search("alpha");  // 2: the refilled entry is stale again
-  (void)engine.Search("beta");   // 3
+  (void)engine.Search("alpha", 10);  // 2: the refilled entry is stale again
+  (void)engine.Search("beta", 10);   // 3
 
   EXPECT_EQ(engine.stats().invalidations, 3u);
 }
 
 TEST_F(ServeEngineTest, SuppressedDuplicateIngestKeepsCacheValid) {
   Engine engine(index_.get(), {});
-  (void)engine.Search("alpha");
+  (void)engine.Search("alpha", 10);
   // Duplicate content: nothing enters the index, results cannot change,
   // so the cache entry stays valid.
   ASSERT_TRUE(index_->InsertBatch({Doc("dup", "alpha document body")}).ok());
-  EXPECT_TRUE(engine.Search("alpha").from_cache);
+  EXPECT_TRUE(engine.Search("alpha", 10).from_cache);
   EXPECT_EQ(engine.stats().invalidations, 0u);
-}
-
-TEST_F(ServeEngineTest, ZeroCapacityDisablesCaching) {
-  EngineOptions opts;
-  opts.cache_capacity = 0;
-  Engine engine(index_.get(), opts);
-  EXPECT_FALSE(engine.Search("alpha").from_cache);
-  EXPECT_FALSE(engine.Search("alpha").from_cache);
-  EXPECT_EQ(engine.cache_size(), 0u);
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
-  EXPECT_EQ(engine.stats().cache_misses, 2u);
 }
 
 TEST(ServeEngineConcurrencyTest, SearchDuringConcurrentIngest) {
@@ -179,9 +168,7 @@ TEST(ServeEngineConcurrencyTest, SearchDuringConcurrentIngest) {
   }
   ASSERT_TRUE(index.InsertBatch(seed_docs).ok());
 
-  EngineOptions eopts;
-  eopts.cache_capacity = 32;
-  Engine engine(&index, eopts);
+  Engine engine(&index);
 
   std::vector<std::string> queries;
   for (int i = 0; i < 12; ++i) {
@@ -198,7 +185,7 @@ TEST(ServeEngineConcurrencyTest, SearchDuringConcurrentIngest) {
       int iterations = 0;
       do {
         for (const auto& q : queries) {
-          answered += engine.Search(q).hits.size() + 1;
+          answered += engine.Search(q, 10).hits.size() + 1;
         }
         ++iterations;
       } while (!done || iterations < 3);
@@ -260,9 +247,7 @@ TEST(ServeEngineConcurrencyTest,
   }
   ASSERT_TRUE(index.InsertBatch(seed_docs).ok());
 
-  EngineOptions eopts;
-  eopts.cache_capacity = 16;
-  Engine engine(&index, eopts);
+  Engine engine(&index);
 
   std::vector<std::string> queries;
   for (int i = 0; i < 10; ++i) {
@@ -276,7 +261,7 @@ TEST(ServeEngineConcurrencyTest,
     readers.emplace_back([&] {
       int iterations = 0;
       do {
-        for (const auto& q : queries) (void)engine.Search(q);
+        for (const auto& q : queries) (void)engine.Search(q, 10);
         ++iterations;
       } while (!done || iterations < 3);
     });
@@ -401,9 +386,7 @@ TEST_F(ServeEngineTest, AdmittedSearchRunsToCompletionPastItsDeadline) {
   // admitted with time to spare finishes normally even if the index
   // work itself overruns the deadline (index searches do not cancel).
   SlowIndex slow(index_.get(), 20);
-  EngineOptions eopts;
-  eopts.cache_capacity = 0;
-  Engine engine(&slow, eopts);
+  Engine engine(&slow);
   auto res = engine.Search("alpha", 10,
                            std::chrono::steady_clock::now() +
                                std::chrono::milliseconds(1));

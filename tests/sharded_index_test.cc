@@ -105,16 +105,10 @@ TEST_P(ShardedEquivalenceTest, ByteIdenticalThroughServeEngineWithCache) {
   ShardedIndex sharded(sopts);
   ASSERT_TRUE(sharded.InsertBatch(docs).ok());
 
-  serve::EngineOptions cached;
-  cached.cache_capacity = 64;  // small: exercises eviction mid-stream
-  serve::Engine with_cache(&sharded, cached);
-  serve::EngineOptions uncached;
-  uncached.cache_capacity = 0;
-  serve::Engine no_cache(&sharded, uncached);
+  serve::Engine with_cache(&sharded);
 
-  // Ask everything twice: the second ask is served from the cache (the
-  // small capacity means older entries get evicted along the way), and
-  // fresh, cached, and uncached answers must all equal the single index.
+  // Ask everything twice: the second ask is served from the cache, and
+  // fresh and cached answers must both equal the single index.
   for (const auto& query : StreamQueries(corpus, 300)) {
     auto expected = reference.Search(query, 10);
     ExpectSameHits(expected, with_cache.Search(query, 10).hits,
@@ -123,12 +117,8 @@ TEST_P(ShardedEquivalenceTest, ByteIdenticalThroughServeEngineWithCache) {
     EXPECT_TRUE(repeat.from_cache) << query;
     ExpectSameHits(expected, repeat.hits,
                    "cache-served, query \"" + query + "\"");
-    ExpectSameHits(expected, no_cache.Search(query, 10).hits,
-                   "uncached, query \"" + query + "\"");
   }
   EXPECT_GT(with_cache.stats().cache_hits, 0u);
-  EXPECT_GT(with_cache.stats().evictions, 0u);
-  EXPECT_EQ(no_cache.stats().cache_hits, 0u);
 }
 
 TEST_P(ShardedEquivalenceTest, SequentialShardSearchMatchesParallel) {

@@ -116,8 +116,7 @@ HealthResponse RandomHealthResponse(Rng* rng) {
   HealthResponse m;
   index::IndexMemoryUsage& mem = m.memory;
   for (uint64_t* field :
-       {&m.num_docs, &m.epoch, &m.last_applied_seq, &m.queue_depth,
-        &m.requests_served, &m.requests_rejected, &m.requests_cancelled,
+       {&m.num_docs, &m.epoch, &m.last_applied_seq,
         &mem.posting_doc_raw_bytes, &mem.posting_doc_packed_bytes,
         &mem.posting_weight_bytes, &mem.posting_block_bytes,
         &mem.dictionary_bytes, &mem.norm_cache_bytes, &mem.decode_cache_bytes,
